@@ -1,7 +1,7 @@
 //! The machine-readable perf harness: runs the fig4/fig5/fig7 campaign
 //! grids plus the `eval_cache` and `workload_engine` micro-benches and
 //! writes one `BENCH_<name>.json` per bench — throughput (evals/sec), avg
-//! and p99 compute latency, and cache computed/served counters per grid
+//! and p99 compute latency (ns), and memo-cache hit/miss counters per grid
 //! cell — so every PR has a perf trajectory to diff against.
 //!
 //! Usage:
@@ -15,6 +15,9 @@
 //! seed per grid row); the emitted schema is identical. Every emitted file
 //! is self-validated with the same `validate_bench_report` the CI
 //! `bench-smoke` job runs.
+//!
+//! Exit status: `0` success, `1` a bench or file failed validation, `2`
+//! usage error.
 #![forbid(unsafe_code)]
 
 use collie_bench::{
@@ -22,7 +25,7 @@ use collie_bench::{
     validate_bench_report, BenchCell, BenchReport, CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
 };
 use collie_core::engine::WorkloadEngine;
-use collie_core::eval::{CacheTotals, EvalProfile, EvalStats, SharedUse};
+use collie_core::eval::EvalStats;
 use collie_core::search::{SearchConfig, SignalMode};
 use collie_core::space::{SearchPoint, SearchSpace};
 use collie_rnic::subsystems::SubsystemId;
@@ -32,18 +35,60 @@ use collie_sim::time::SimDuration;
 use std::path::Path;
 use std::time::Instant;
 
+const USAGE: &str = "usage: bench [--smoke] [--out DIR]\n       bench --validate FILE...";
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// Run the benches and write `BENCH_*.json` into `out_dir`.
+    Run { smoke: bool, out_dir: String },
+    /// Schema-check previously emitted files.
+    Validate(Vec<String>),
+}
+
+/// Parse the arguments after the program name. `Err` carries the message
+/// of a usage error: an unknown argument, a flag missing its value, or
+/// `--validate` without files or mixed with run flags.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let mut smoke = false;
+    let mut out_dir: Option<String> = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => match args.next() {
+                Some(dir) if !dir.starts_with('-') => out_dir = Some(dir.clone()),
+                _ => return Err("--out needs a directory".to_string()),
+            },
+            "--validate" => {
+                if smoke || out_dir.is_some() {
+                    return Err("--validate takes no other flags".to_string());
+                }
+                let files: Vec<String> = args.cloned().collect();
+                if files.is_empty() {
+                    return Err("--validate needs at least one file".to_string());
+                }
+                return Ok(Command::Validate(files));
+            }
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    Ok(Command::Run {
+        smoke,
+        out_dir: out_dir.unwrap_or_else(|| ".".to_string()),
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(position) = args.iter().position(|arg| arg == "--validate") {
-        std::process::exit(validate_files(&args[position + 1..]));
-    }
-    let smoke = args.iter().any(|arg| arg == "--smoke");
-    let out_dir = args
-        .iter()
-        .position(|arg| arg == "--out")
-        .and_then(|position| args.get(position + 1))
-        .map(String::as_str)
-        .unwrap_or(".");
+    let (smoke, out_dir) = match parse_args(&args) {
+        Ok(Command::Run { smoke, out_dir }) => (smoke, out_dir),
+        Ok(Command::Validate(files)) => std::process::exit(validate_files(&files)),
+        Err(message) => {
+            eprintln!("bench: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     let mode = if smoke { "smoke" } else { "full" };
     let seeds: &[u64] = if smoke {
@@ -57,7 +102,7 @@ fn main() {
 
     let mut failures = 0;
     let mut emit = |report: &BenchReport| {
-        let path = Path::new(out_dir).join(BenchReport::file_name(&report.name));
+        let path = Path::new(&out_dir).join(BenchReport::file_name(&report.name));
         if let Err(violation) = validate_bench_report(report) {
             eprintln!("bench {}: INVALID: {violation}", report.name);
             failures += 1;
@@ -75,11 +120,9 @@ fn main() {
         let evals: u64 = report.cells.iter().map(|cell| cell.evals).sum();
         let wall: f64 = report.cells.iter().map(|cell| cell.wall_secs).sum();
         eprintln!(
-            "bench {}: {} cells, {evals} evals, {wall:.2} s cell wall-clock, \
-             cache totals {:?} -> {}",
+            "bench {}: {} cells, {evals} evals, {wall:.2} s cell wall-clock -> {}",
             report.name,
             report.cells.len(),
-            report.totals,
             path.display()
         );
     };
@@ -173,8 +216,7 @@ fn grid(subsystem: SubsystemId, configs: &[SearchConfig], seeds: &[u64]) -> Vec<
 }
 
 /// The memoization bench: the same Collie campaign with the memo cache on
-/// and off (no shared matrix cache, so the comparison is the local cache
-/// alone — the `eval_cache` Criterion bench's headline, as a tracked
+/// and off (the `eval_cache` Criterion bench's headline, as a tracked
 /// number).
 fn eval_cache_bench(subsystem: SubsystemId, mode: &str, budget: SimDuration) -> BenchReport {
     let memoized = SearchConfig::collie(0).with_budget(budget);
@@ -186,10 +228,7 @@ fn eval_cache_bench(subsystem: SubsystemId, mode: &str, budget: SimDuration) -> 
         CampaignSpec::seeded(subsystem, &memoized, DEFAULT_SEEDS[0]),
         CampaignSpec::seeded(subsystem, &uncached, DEFAULT_SEEDS[0]),
     ];
-    let report = run_campaign_matrix_report(
-        &cells,
-        &MatrixOptions::new(default_workers()).without_shared_cache(),
-    );
+    let report = run_campaign_matrix_report(&cells, &MatrixOptions::new(default_workers()));
     let labels = ["memoized", "uncached"];
     BenchReport {
         name: "eval_cache".to_string(),
@@ -197,21 +236,8 @@ fn eval_cache_bench(subsystem: SubsystemId, mode: &str, budget: SimDuration) -> 
         cells: labels
             .iter()
             .zip(&report.cells)
-            .map(|(label, cell)| {
-                BenchCell::from_profile(
-                    label,
-                    DEFAULT_SEEDS[0],
-                    cell.wall_secs,
-                    &EvalProfile {
-                        stats: cell.stats,
-                        shared: cell.shared,
-                        compute_micros: cell.compute_micros.clone(),
-                        incremental: cell.incremental,
-                    },
-                )
-            })
+            .map(|(label, cell)| cell.bench_cell(label, DEFAULT_SEEDS[0]))
             .collect(),
-        totals: report.cache,
     }
 }
 
@@ -241,7 +267,7 @@ fn workload_engine_bench(subsystem: SubsystemId, mode: &str, iterations: usize) 
         |label: &str, incremental: bool, fresh: bool, points: &dyn Fn(usize) -> SearchPoint| {
             let mut engine = WorkloadEngine::for_catalog(subsystem);
             engine.set_incremental(incremental);
-            let mut micros = Vec::with_capacity(iterations);
+            let mut nanos = Vec::with_capacity(iterations);
             let started = Instant::now();
             for i in 0..iterations {
                 let point = points(i);
@@ -252,21 +278,17 @@ fn workload_engine_bench(subsystem: SubsystemId, mode: &str, iterations: usize) 
                     engine = WorkloadEngine::for_catalog(subsystem);
                 }
                 let _ = engine.measure(&point);
-                micros.push(call.elapsed().as_micros() as u64);
+                nanos.push(call.elapsed().as_nanos() as u64);
             }
-            BenchCell::from_profile(
+            BenchCell::new(
                 label,
                 0,
                 started.elapsed().as_secs_f64(),
-                &EvalProfile {
-                    stats: EvalStats {
-                        hits: 0,
-                        misses: iterations as u64,
-                    },
-                    shared: SharedUse::default(),
-                    compute_micros: micros,
-                    incremental: engine.subsystem().incremental_use(),
+                EvalStats {
+                    hits: 0,
+                    misses: iterations as u64,
                 },
+                &nanos,
             )
         };
     let benign = SearchPoint::benign();
@@ -287,7 +309,6 @@ fn workload_engine_bench(subsystem: SubsystemId, mode: &str, iterations: usize) 
         name: "workload_engine".to_string(),
         mode: mode.to_string(),
         cells,
-        totals: CacheTotals::default(),
     }
 }
 
@@ -309,10 +330,6 @@ fn mutation_chain(subsystem: SubsystemId, length: usize) -> Vec<SearchPoint> {
 /// `--validate FILE...`: parse and schema-check emitted reports; the CI
 /// `bench-smoke` job's gate. Returns the process exit code.
 fn validate_files(files: &[String]) -> i32 {
-    if files.is_empty() {
-        eprintln!("bench --validate: no files given");
-        return 1;
-    }
     let mut failures = 0;
     for file in files {
         let verdict = std::fs::read_to_string(file)
@@ -334,5 +351,54 @@ fn validate_files(files: &[String]) -> i32 {
         1
     } else {
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(&args.iter().map(|arg| arg.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn run_flags_parse_with_defaults() {
+        let run = |smoke, out_dir: &str| Command::Run {
+            smoke,
+            out_dir: out_dir.to_string(),
+        };
+        assert_eq!(parse(&[]), Ok(run(false, ".")));
+        assert_eq!(parse(&["--smoke"]), Ok(run(true, ".")));
+        assert_eq!(
+            parse(&["--out", "bench-json", "--smoke"]),
+            Ok(run(true, "bench-json"))
+        );
+    }
+
+    #[test]
+    fn validate_takes_every_remaining_argument_as_a_file() {
+        assert_eq!(
+            parse(&["--validate", "a.json", "b.json"]),
+            Ok(Command::Validate(vec![
+                "a.json".to_string(),
+                "b.json".to_string()
+            ]))
+        );
+    }
+
+    #[test]
+    fn usage_errors_are_rejected_with_a_message() {
+        for (args, message) in [
+            (&["--out"][..], "--out needs a directory"),
+            (&["--out", "--smoke"][..], "--out needs a directory"),
+            (&["--fast"][..], "unknown argument --fast"),
+            (&["out-dir"][..], "unknown argument out-dir"),
+            (&["--validate"][..], "--validate needs at least one file"),
+            (&["--smoke", "--validate", "a.json"][..], "no other flags"),
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} must be a usage error"));
+            assert!(err.contains(message), "{args:?}: {err}");
+        }
     }
 }

@@ -8,9 +8,9 @@
 //! scripts can consume the numbers directly.
 //!
 //! Campaigns are embarrassingly parallel — each one owns a fresh copy of
-//! its subsystem — so the harness fans the full (strategy × subsystem ×
-//! seed) grid out across a bounded scoped-thread pool
-//! ([`run_campaign_matrix`]) instead of sweeping it serially.
+//! its subsystem and its own memo cache — so the harness fans the full
+//! (strategy × subsystem × seed) grid out across a bounded scoped-thread
+//! pool ([`run_campaign_matrix`]) instead of sweeping it serially.
 #![forbid(unsafe_code)]
 
 pub mod report;
@@ -18,7 +18,7 @@ pub mod report;
 pub use report::{latency_summary, validate_bench_report, BenchCache, BenchCell, BenchReport};
 
 use collie_core::engine::WorkloadEngine;
-use collie_core::eval::{CacheTotals, EvalContext, EvalStats, SharedUse};
+use collie_core::eval::{EvalProfile, EvalStats};
 use collie_core::fabric::{run_fabric_search_in_context, FabricEngine, FabricOutcome};
 use collie_core::remedy::{
     DiscoveredTrigger, QualificationRecord, Qualifier, RegressionCatalog, RegressionFlag,
@@ -131,25 +131,19 @@ where
         .collect()
 }
 
-/// Default capacity of the matrix-scoped shared cache: generous enough
-/// that the standard grids never evict (a full fig4 grid computes a few
-/// thousand distinct points), small enough that a fleet-size matrix cannot
-/// grow the cache without bound.
+/// Capacity of the per-subsystem caches of a matrix-scoped
+/// [`EvalContext`](collie_core::eval::EvalContext). The matrix runners no
+/// longer build one (every cell keeps only its own memo cache; DESIGN.md
+/// §10); the constant stays because the campaign benchmark's traced run
+/// builds its context with it.
 pub const DEFAULT_MATRIX_CACHE_CAPACITY: usize = 65_536;
 
-/// How a campaign matrix runs: pool width, shared-cache policy, and the
-/// optional verification phase.
+/// How a campaign matrix runs: pool width and the optional verification
+/// phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixOptions {
     /// Worker-pool width (clamped like [`parallel_map`]).
     pub workers: usize,
-    /// Whether cells share one matrix-scoped [`EvalContext`] (per-subsystem
-    /// caches, see [`EvalContext::workload_cache`]). Sharing never changes
-    /// outcomes or [`EvalStats`] — commits go through each cell's local
-    /// cache — so it defaults to on.
-    pub share_cache: bool,
-    /// Capacity of each shared per-subsystem cache; `None` is unbounded.
-    pub cache_capacity: Option<usize>,
     /// Append a qualification phase to the matrix report: every discovery
     /// is handed to a [`Qualifier`] that verifies its mitigations one at a
     /// time on fresh engine forks. Off by default — the phase runs strictly
@@ -165,28 +159,13 @@ pub struct MatrixOptions {
 }
 
 impl MatrixOptions {
-    /// Sharing on, default capacity bound, qualification off.
+    /// `workers` wide, qualification off.
     pub fn new(workers: usize) -> MatrixOptions {
         MatrixOptions {
             workers,
-            share_cache: true,
-            cache_capacity: Some(DEFAULT_MATRIX_CACHE_CAPACITY),
             qualify: false,
             regression_catalog: None,
         }
-    }
-
-    /// Disable cross-cell sharing (the per-cell baseline the sharing proof
-    /// test compares against).
-    pub fn without_shared_cache(mut self) -> MatrixOptions {
-        self.share_cache = false;
-        self
-    }
-
-    /// Override the shared-cache capacity (`None` removes the bound).
-    pub fn with_cache_capacity(mut self, capacity: Option<usize>) -> MatrixOptions {
-        self.cache_capacity = capacity;
-        self
     }
 
     /// Append the qualification phase to the matrix report.
@@ -210,31 +189,25 @@ impl MatrixOptions {
 pub struct MatrixCell<O> {
     /// The campaign outcome (independent of cache mode and pool width).
     pub outcome: O,
-    /// Local evaluation-cache hit/miss counters (bit-identical in every
-    /// cache mode).
+    /// Evaluation-cache hit/miss counters (bit-identical in every cache
+    /// mode).
     pub stats: EvalStats,
-    /// Shared-cache interaction: misses this cell computed itself vs.
-    /// misses served by a sibling's publication (all zero when sharing is
-    /// off).
-    pub shared: SharedUse,
     /// Real wall-clock the cell took, in seconds.
     pub wall_secs: f64,
-    /// One wall-clock latency (µs) per engine compute on the cell's commit
+    /// One wall-clock latency (ns) per engine compute on the cell's commit
     /// thread.
-    pub compute_micros: Vec<u64>,
+    pub compute_nanos: Vec<u64>,
     /// Incremental stage-reuse counters of the cell's engine (all zero
     /// when incremental evaluation is off).
     pub incremental: IncrementalUse,
 }
 
-/// A finished campaign matrix: the cells in matrix order plus the shared
-/// cache's matrix-level totals and, when requested, the verification phase.
+/// A finished campaign matrix: the cells in matrix order and, when
+/// requested, the verification phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixReport<O> {
     /// One entry per input cell, in input order.
     pub cells: Vec<MatrixCell<O>>,
-    /// Matrix-level shared-cache totals (zero when sharing was off).
-    pub cache: CacheTotals,
     /// The qualification phase (`None` unless [`MatrixOptions::qualify`]
     /// was set).
     pub qualification: Option<QualificationPhase>,
@@ -301,40 +274,34 @@ fn qualification_phase(
     }
 }
 
-fn matrix_context(options: &MatrixOptions) -> Option<EvalContext> {
-    options.share_cache.then(|| match options.cache_capacity {
-        Some(capacity) => EvalContext::bounded(capacity),
-        None => EvalContext::new(),
-    })
+/// One finished cell from its campaign outcome, evaluation profile and
+/// start time.
+fn matrix_cell<O>(outcome: O, profile: EvalProfile, started: Instant) -> MatrixCell<O> {
+    MatrixCell {
+        outcome,
+        stats: profile.stats,
+        wall_secs: started.elapsed().as_secs_f64(),
+        compute_nanos: profile.compute_nanos,
+        incremental: profile.incremental,
+    }
 }
 
-/// Run every cell of a campaign matrix with one matrix-scoped shared cache
-/// (per [`MatrixOptions`]), reporting per-cell perf alongside the
-/// outcomes. The cache refactor's ownership root: the [`EvalContext`] is
-/// created here, once, and every cell's evaluator reads through it while
-/// committing via its own local cache — outcomes and stats are therefore
-/// byte-identical to [`run_campaign_matrix`] with sharing off.
+/// Run every cell of a campaign matrix on a [`MatrixOptions::workers`]-wide
+/// pool, reporting per-cell perf alongside the outcomes. Each cell owns a
+/// fresh engine and evaluates through its own memo cache only, so a cell's
+/// outcome and stats equal a standalone
+/// [`run_search_with_stats`](collie_core::search::run_search_with_stats)
+/// of the same configuration.
 pub fn run_campaign_matrix_report(
     specs: &[CampaignSpec],
     options: &MatrixOptions,
 ) -> MatrixReport<SearchOutcome> {
-    let context = matrix_context(options);
     let cells = parallel_map(specs, options.workers, |cell| {
         let mut engine = WorkloadEngine::for_catalog(cell.subsystem);
         let space = SearchSpace::for_host(&cell.subsystem.host());
-        let shared = context
-            .as_ref()
-            .map(|ctx| ctx.workload_cache(cell.subsystem));
         let started = Instant::now();
-        let (outcome, profile) = run_search_in_context(&mut engine, &space, &cell.config, shared);
-        MatrixCell {
-            outcome,
-            stats: profile.stats,
-            shared: profile.shared,
-            wall_secs: started.elapsed().as_secs_f64(),
-            compute_micros: profile.compute_micros,
-            incremental: profile.incremental,
-        }
+        let (outcome, profile) = run_search_in_context(&mut engine, &space, &cell.config);
+        matrix_cell(outcome, profile, started)
     });
     let qualification = options.qualify.then(|| {
         let triggers = cells
@@ -345,36 +312,24 @@ pub fn run_campaign_matrix_report(
     });
     MatrixReport {
         cells,
-        cache: context.map(|ctx| ctx.totals()).unwrap_or_default(),
         qualification,
     }
 }
 
-/// The fabric counterpart of [`run_campaign_matrix_report`]: same
-/// ownership shape over [`EvalContext::fabric_cache`]. The qualification
-/// phase (when requested) verifies each discovery's *culprit workload*
-/// against the two-host subsystem — see
+/// The fabric counterpart of [`run_campaign_matrix_report`]. The
+/// qualification phase (when requested) verifies each discovery's *culprit
+/// workload* against the two-host subsystem — see
 /// [`FabricOutcome::discovered_triggers`].
 pub fn run_fabric_campaign_matrix_report(
     specs: &[CampaignSpec],
     options: &MatrixOptions,
 ) -> MatrixReport<FabricOutcome> {
-    let context = matrix_context(options);
     let cells = parallel_map(specs, options.workers, |cell| {
         let mut engine = FabricEngine::for_catalog(cell.subsystem);
         let space = FabricSpace::for_host(&cell.subsystem.host());
-        let shared = context.as_ref().map(|ctx| ctx.fabric_cache(cell.subsystem));
         let started = Instant::now();
-        let (outcome, profile) =
-            run_fabric_search_in_context(&mut engine, &space, &cell.config, shared);
-        MatrixCell {
-            outcome,
-            stats: profile.stats,
-            shared: profile.shared,
-            wall_secs: started.elapsed().as_secs_f64(),
-            compute_micros: profile.compute_micros,
-            incremental: profile.incremental,
-        }
+        let (outcome, profile) = run_fabric_search_in_context(&mut engine, &space, &cell.config);
+        matrix_cell(outcome, profile, started)
     });
     let qualification = options.qualify.then(|| {
         let triggers = cells
@@ -385,15 +340,12 @@ pub fn run_fabric_campaign_matrix_report(
     });
     MatrixReport {
         cells,
-        cache: context.map(|ctx| ctx.totals()).unwrap_or_default(),
         qualification,
     }
 }
 
 /// Run every cell of a campaign matrix on a bounded worker pool, returning
-/// `(outcome, eval-cache stats)` per cell in matrix order. Cells share the
-/// default matrix-scoped cache (see [`MatrixOptions::new`]); the stats and
-/// outcomes are bit-identical either way.
+/// `(outcome, eval-cache stats)` per cell in matrix order.
 pub fn run_campaign_matrix(
     cells: &[CampaignSpec],
     workers: usize,
@@ -422,9 +374,9 @@ pub fn run_fabric_campaign_matrix(
 }
 
 /// Assemble the machine-readable [`BenchReport`] for a finished matrix:
-/// one [`BenchCell`] per grid cell, labelled from the cell's configuration,
-/// plus the matrix cache totals. The schema every `BENCH_<name>.json` file
-/// and every fig bin's `--json` block share.
+/// one [`BenchCell`] per grid cell, labelled from the cell's configuration.
+/// The schema every `BENCH_<name>.json` file and every fig bin's `--json`
+/// block share.
 pub fn bench_report<O>(
     name: &str,
     mode: &str,
@@ -437,21 +389,15 @@ pub fn bench_report<O>(
         cells: cells
             .iter()
             .zip(&report.cells)
-            .map(|(spec, cell)| {
-                BenchCell::from_profile(
-                    &spec.config.label(),
-                    spec.config.seed,
-                    cell.wall_secs,
-                    &collie_core::eval::EvalProfile {
-                        stats: cell.stats,
-                        shared: cell.shared,
-                        compute_micros: cell.compute_micros.clone(),
-                        incremental: cell.incremental,
-                    },
-                )
-            })
+            .map(|(spec, cell)| cell.bench_cell(&spec.config.label(), spec.config.seed))
             .collect(),
-        totals: report.cache,
+    }
+}
+
+impl<O> MatrixCell<O> {
+    /// This cell's row of a [`BenchReport`].
+    pub fn bench_cell(&self, label: &str, seed: u64) -> BenchCell {
+        BenchCell::new(label, seed, self.wall_secs, self.stats, &self.compute_nanos)
     }
 }
 
@@ -585,8 +531,9 @@ mod tests {
     #[test]
     fn campaign_matrix_matches_per_cell_runs() {
         // Two strategies × two seeds through the matrix equal the same four
-        // campaigns run individually: the pool changes scheduling, never
-        // results.
+        // campaigns run individually, outcome and eval-cache stats alike,
+        // on a serial and a two-wide pool: each cell evaluates through its
+        // own memo cache, so the pool changes scheduling, never results.
         let budget = SimDuration::from_secs(900);
         let configs = [
             SearchConfig::random(0).with_budget(budget),
@@ -598,14 +545,19 @@ mod tests {
                 cells.push(CampaignSpec::seeded(SubsystemId::F, config, seed));
             }
         }
-        let matrix = run_campaign_matrix(&cells, 2);
-        assert_eq!(matrix.len(), 4);
-        for (cell, (outcome, _)) in cells.iter().zip(&matrix) {
-            let mut engine = WorkloadEngine::for_catalog(cell.subsystem);
-            let space = SearchSpace::for_host(&cell.subsystem.host());
-            let solo = collie_core::search::run_search(&mut engine, &space, &cell.config);
-            assert_eq!(&solo, outcome, "{}", cell.config.label());
+        let solo: Vec<_> = cells
+            .iter()
+            .map(|cell| {
+                let mut engine = WorkloadEngine::for_catalog(cell.subsystem);
+                let space = SearchSpace::for_host(&cell.subsystem.host());
+                collie_core::search::run_search_with_stats(&mut engine, &space, &cell.config)
+            })
+            .collect();
+        for workers in [1, 2] {
+            let matrix = run_campaign_matrix(&cells, workers);
+            assert_eq!(matrix, solo, "{workers} worker(s)");
         }
+        assert!(solo.iter().all(|(_, stats)| stats.misses > 0));
     }
 
     #[test]
@@ -639,47 +591,6 @@ mod tests {
                 "available={available} lookahead={lookahead}"
             );
         }
-    }
-
-    #[test]
-    fn matrix_report_shares_the_cache_without_changing_outcomes() {
-        // The tentpole contract at the harness level: the same two-cell
-        // grid with sharing on and off produces identical outcomes and
-        // local stats; only the shared counters differ. (The cross-cell
-        // sharing *gain* is proven in tests/eval_cache.rs.)
-        // Execution mode pinned: memoization on (sharing rides on the local
-        // cache; COLLIE_MEMOIZE=0 leg), speculation off (lookahead workers
-        // would give even the no-sharing baseline a campaign-private shared
-        // cache; COLLIE_SPECULATION=4 leg).
-        let budget = SimDuration::from_secs(900);
-        let config = SearchConfig::random(0)
-            .with_budget(budget)
-            .with_memoization(true)
-            .with_speculation(None);
-        let cells = [
-            CampaignSpec::seeded(SubsystemId::F, &config, 5),
-            CampaignSpec::seeded(SubsystemId::F, &config, 5),
-        ];
-        let shared = run_campaign_matrix_report(&cells, &MatrixOptions::new(2));
-        let solo =
-            run_campaign_matrix_report(&cells, &MatrixOptions::new(2).without_shared_cache());
-        assert_eq!(solo.cache, collie_core::eval::CacheTotals::default());
-        for (a, b) in shared.cells.iter().zip(&solo.cells) {
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(b.shared, SharedUse::default());
-            assert!(a.wall_secs >= 0.0 && b.wall_secs >= 0.0);
-        }
-        // Identical seeds ask for identical points: the shared totals cover
-        // every miss. (>= rather than ==: under COLLIE_SPECULATION the
-        // lookahead workers also publish into the same matrix cache.)
-        let asks: u64 = shared
-            .cells
-            .iter()
-            .map(|c| c.shared.computed + c.shared.served)
-            .sum();
-        assert!(shared.cache.computed + shared.cache.served >= asks);
-        assert!(shared.cache.served > 0, "twin cells must share computes");
     }
 
     #[test]
@@ -752,8 +663,9 @@ mod tests {
 
     #[test]
     fn fabric_matrix_matches_per_cell_runs() {
-        // Fabric campaigns through the pool equal the same campaigns run
-        // individually: scheduling never changes results. All three fig7
+        // Fabric campaigns through a serial and a two-wide pool equal the
+        // same campaigns run individually, outcome and eval-cache stats
+        // alike: scheduling never changes results. All three fig7
         // strategies — the BO cell runs the real generic surrogate driver,
         // not a relabelled random baseline.
         let budget = SimDuration::from_secs(1800);
@@ -766,17 +678,21 @@ mod tests {
             .iter()
             .map(|config| CampaignSpec::seeded(SubsystemId::F, config, 5))
             .collect();
-        let matrix = run_fabric_campaign_matrix(&cells, 2);
-        assert_eq!(matrix.len(), 3);
-        for (cell, (outcome, _)) in cells.iter().zip(&matrix) {
-            let mut engine = FabricEngine::for_catalog(cell.subsystem);
-            let space = FabricSpace::for_host(&cell.subsystem.host());
-            let solo = collie_core::fabric::run_fabric_search(&mut engine, &space, &cell.config);
-            assert_eq!(&solo, outcome, "{}", cell.config.label());
-            assert!(outcome.experiments > 0);
+        let solo: Vec<_> = cells
+            .iter()
+            .map(|cell| {
+                let mut engine = FabricEngine::for_catalog(cell.subsystem);
+                let space = FabricSpace::for_host(&cell.subsystem.host());
+                collie_core::fabric::run_fabric_search_with_stats(&mut engine, &space, &cell.config)
+            })
+            .collect();
+        for workers in [1, 2] {
+            let matrix = run_fabric_campaign_matrix(&cells, workers);
+            assert_eq!(matrix, solo, "{workers} worker(s)");
         }
+        assert!(solo.iter().all(|(outcome, _)| outcome.experiments > 0));
         // The BO and random cells share a seed; distinct outcomes prove the
         // dispatch is not collapsing strategies.
-        assert_ne!(matrix[0].0, matrix[1].0, "BO cell ran the random loop");
+        assert_ne!(solo[0].0, solo[1].0, "BO cell ran the random loop");
     }
 }

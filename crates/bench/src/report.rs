@@ -3,49 +3,34 @@
 //! Every bench the harness runs — the fig4/fig5/fig7 campaign grids plus
 //! the targeted `eval_cache` / `workload_engine` micro-benches — reduces to
 //! the same shape: a named report with one [`BenchCell`] per grid cell
-//! carrying throughput, latency, and cache counters, plus the matrix-level
-//! shared-cache totals. The `bench` bin writes one JSON file per report so
-//! EXPERIMENTS.md and future PRs have a perf trajectory to diff against,
-//! the fig bins re-emit the same schema behind `--json`, and CI's
-//! `bench-smoke` job validates every emitted file with
-//! [`validate_bench_report`] before uploading it as an artifact.
+//! carrying throughput, latency, and cache counters. The `bench` bin
+//! writes one JSON file per report so EXPERIMENTS.md and future PRs have a
+//! perf trajectory to diff against, the fig bins re-emit the same schema
+//! behind `--json`, and CI's `bench-smoke` job validates every emitted
+//! file with [`validate_bench_report`] before uploading it as an artifact.
 
-use collie_core::eval::{CacheTotals, EvalProfile, EvalStats, SharedUse};
+use collie_core::eval::EvalStats;
 use serde::{Deserialize, Serialize};
 
-/// Cache behaviour of one cell: the evaluator-local hit/miss split (the
-/// bit-identity-pinned [`EvalStats`]) and the matrix-shared interaction.
+/// Cache behaviour of one cell: the memo-cache hit/miss split (the
+/// bit-identity-pinned [`EvalStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct BenchCache {
-    /// Local memo-cache hits.
+    /// Memo-cache hits.
     pub hits: u64,
-    /// Local memo-cache misses (each one asked the shared cache or the
-    /// engine).
+    /// Memo-cache misses (each one ran the engine).
     pub misses: u64,
     /// `hits / (hits + misses)`; 0 when the cell never evaluated.
     pub hit_rate: f64,
-    /// Local misses this cell computed itself (through the shared cache
-    /// when one was attached).
-    pub shared_computed: u64,
-    /// Local misses served by a sibling cell's (or speculation worker's)
-    /// publication in the shared cache.
-    pub shared_served: u64,
 }
 
 impl BenchCache {
-    /// Assemble the cache block from an evaluation profile's counters.
-    pub fn from_counters(stats: EvalStats, shared: SharedUse) -> BenchCache {
-        let asks = stats.hits + stats.misses;
+    /// Assemble the cache block from an evaluator's counters.
+    pub fn from_stats(stats: EvalStats) -> BenchCache {
         BenchCache {
             hits: stats.hits,
             misses: stats.misses,
-            hit_rate: if asks == 0 {
-                0.0
-            } else {
-                stats.hits as f64 / asks as f64
-            },
-            shared_computed: shared.computed,
-            shared_served: shared.served,
+            hit_rate: stats.hit_rate(),
         }
     }
 }
@@ -63,26 +48,28 @@ pub struct BenchCell {
     pub evals: u64,
     /// `evals / wall_secs`; 0 when the wall-clock rounds to zero.
     pub throughput_evals_per_sec: f64,
-    /// Mean wall-clock of one engine compute, in microseconds (cache hits
-    /// and shared serves excluded — this is the model's own cost).
-    pub avg_us: f64,
-    /// 99th-percentile engine-compute latency, in microseconds.
-    pub p99_us: u64,
+    /// Mean wall-clock of one engine compute, in nanoseconds (cache hits
+    /// excluded — this is the model's own cost).
+    pub avg_ns: f64,
+    /// Nearest-rank 99th-percentile engine-compute latency, in
+    /// nanoseconds.
+    pub p99_ns: u64,
     /// Cache counters for the cell.
     pub cache: BenchCache,
 }
 
 impl BenchCell {
-    /// Assemble a cell from a campaign's evaluation profile and measured
-    /// wall-clock.
-    pub fn from_profile(
+    /// Assemble a cell from a campaign's cache counters, per-compute
+    /// latencies (ns) and measured wall-clock.
+    pub fn new(
         label: &str,
         seed: u64,
         wall_secs: f64,
-        profile: &EvalProfile,
+        stats: EvalStats,
+        compute_nanos: &[u64],
     ) -> BenchCell {
-        let evals = profile.stats.hits + profile.stats.misses;
-        let (avg_us, p99_us) = latency_summary(&profile.compute_micros);
+        let evals = stats.hits + stats.misses;
+        let (avg_ns, p99_ns) = latency_summary(compute_nanos);
         BenchCell {
             label: label.to_string(),
             seed,
@@ -93,9 +80,9 @@ impl BenchCell {
             } else {
                 0.0
             },
-            avg_us,
-            p99_us,
-            cache: BenchCache::from_counters(profile.stats, profile.shared),
+            avg_ns,
+            p99_ns,
+            cache: BenchCache::from_stats(stats),
         }
     }
 }
@@ -109,9 +96,6 @@ pub struct BenchReport {
     pub mode: String,
     /// One entry per grid cell, in grid order.
     pub cells: Vec<BenchCell>,
-    /// Matrix-level shared-cache totals (all zero when the bench has no
-    /// shared cache).
-    pub totals: CacheTotals,
 }
 
 impl BenchReport {
@@ -124,12 +108,12 @@ impl BenchReport {
 /// Mean and 99th-percentile of a latency sample, in the sample's unit.
 /// The p99 is the nearest-rank percentile over the sorted sample; an empty
 /// sample summarises to zeros (a cell can be all cache hits).
-pub fn latency_summary(micros: &[u64]) -> (f64, u64) {
-    if micros.is_empty() {
+pub fn latency_summary(samples: &[u64]) -> (f64, u64) {
+    if samples.is_empty() {
         return (0.0, 0);
     }
-    let avg = micros.iter().sum::<u64>() as f64 / micros.len() as f64;
-    let mut sorted = micros.to_vec();
+    let avg = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
+    let mut sorted = samples.to_vec();
     sorted.sort_unstable();
     let rank = ((sorted.len() as f64 * 0.99).ceil() as usize).max(1) - 1;
     (avg, sorted[rank.min(sorted.len() - 1)])
@@ -161,8 +145,8 @@ pub fn validate_bench_report(report: &BenchReport) -> Result<(), String> {
                 cell.throughput_evals_per_sec
             ));
         }
-        if !cell.avg_us.is_finite() || cell.avg_us < 0.0 {
-            return Err(format!("{at}: bad avg_us {}", cell.avg_us));
+        if !cell.avg_ns.is_finite() || cell.avg_ns < 0.0 {
+            return Err(format!("{at}: bad avg_ns {}", cell.avg_ns));
         }
         if cell.cache.hits + cell.cache.misses != cell.evals {
             return Err(format!(
@@ -176,24 +160,6 @@ pub fn validate_bench_report(report: &BenchReport) -> Result<(), String> {
                 cell.cache.hit_rate
             ));
         }
-        if cell.cache.shared_computed + cell.cache.shared_served > cell.cache.misses {
-            return Err(format!(
-                "{at}: shared counters {}+{} exceed misses {}",
-                cell.cache.shared_computed, cell.cache.shared_served, cell.cache.misses
-            ));
-        }
-    }
-    // The matrix cache only ever computes what some cell's miss asked for.
-    let asked: u64 = report
-        .cells
-        .iter()
-        .map(|c| c.cache.shared_computed + c.cache.shared_served)
-        .sum();
-    if report.totals.computed + report.totals.served < asked {
-        return Err(format!(
-            "totals {:?} cannot cover the {asked} shared asks",
-            report.totals
-        ));
     }
     Ok(())
 }
@@ -203,22 +169,15 @@ mod tests {
     use super::*;
 
     fn sample_cell() -> BenchCell {
-        BenchCell::from_profile(
+        BenchCell::new(
             "Collie",
             11,
             2.0,
-            &EvalProfile {
-                stats: EvalStats {
-                    hits: 30,
-                    misses: 10,
-                },
-                shared: SharedUse {
-                    computed: 7,
-                    served: 3,
-                },
-                compute_micros: vec![10, 20, 30, 40],
-                incremental: Default::default(),
+            EvalStats {
+                hits: 30,
+                misses: 10,
             },
+            &[10_000, 20_000, 30_000, 40_000],
         )
     }
 
@@ -228,10 +187,25 @@ mod tests {
         assert_eq!(cell.evals, 40);
         assert!((cell.throughput_evals_per_sec - 20.0).abs() < 1e-12);
         assert!((cell.cache.hit_rate - 0.75).abs() < 1e-12);
-        assert!((cell.avg_us - 25.0).abs() < 1e-12);
-        assert_eq!(cell.p99_us, 40);
-        assert_eq!(cell.cache.shared_computed, 7);
-        assert_eq!(cell.cache.shared_served, 3);
+        assert!((cell.avg_ns - 25_000.0).abs() < 1e-9);
+        assert_eq!(cell.p99_ns, 40_000);
+    }
+
+    #[test]
+    fn sub_microsecond_samples_survive_the_summary() {
+        // Flow-model calls take a few µs, so whole-microsecond samples
+        // truncated them to a handful of integers and let the mean land
+        // above p99. Nanosecond samples keep the sub-µs spread.
+        let cell = BenchCell::new(
+            "chain",
+            0,
+            1.0,
+            EvalStats { hits: 0, misses: 3 },
+            &[400, 600, 900],
+        );
+        assert!((cell.avg_ns - 633.333).abs() < 0.01, "{}", cell.avg_ns);
+        assert_eq!(cell.p99_ns, 900);
+        assert!(cell.avg_ns <= cell.p99_ns as f64);
     }
 
     #[test]
@@ -252,11 +226,6 @@ mod tests {
             name: "fig4".to_string(),
             mode: "smoke".to_string(),
             cells: vec![sample_cell()],
-            totals: CacheTotals {
-                computed: 7,
-                served: 3,
-                evicted: 0,
-            },
         };
         assert_eq!(validate_bench_report(&report), Ok(()));
 
@@ -273,15 +242,10 @@ mod tests {
         bad.cells.clear();
         assert!(validate_bench_report(&bad).is_err());
 
-        let mut bad = report.clone();
-        bad.cells[0].cache.shared_computed = 20;
-        let err = validate_bench_report(&bad).unwrap_err();
-        assert!(err.contains("exceed misses"), "{err}");
-
         let mut bad = report;
-        bad.totals = CacheTotals::default();
+        bad.cells[0].avg_ns = f64::NAN;
         let err = validate_bench_report(&bad).unwrap_err();
-        assert!(err.contains("shared asks"), "{err}");
+        assert!(err.contains("bad avg_ns"), "{err}");
     }
 
     #[test]
@@ -290,11 +254,6 @@ mod tests {
             name: "eval_cache".to_string(),
             mode: "full".to_string(),
             cells: vec![sample_cell()],
-            totals: CacheTotals {
-                computed: 9,
-                served: 1,
-                evicted: 0,
-            },
         };
         let json = serde_json::to_string(&report).unwrap();
         let back: BenchReport = serde_json::from_str(&json).unwrap();

@@ -83,8 +83,13 @@ struct Shard<P, M> {
 }
 
 /// A sharded concurrent memo cache shared between a committing evaluator
-/// and its speculation workers — and, since the matrix-scoped refactor,
-/// between every cell of a campaign matrix (see [`EvalContext`]).
+/// and its speculation workers.
+///
+/// The campaign-matrix runners used to attach one of these per subsystem
+/// to every cell (see [`EvalContext`]); that tier cost more per local miss
+/// than it saved and was removed (DESIGN.md §10). The cache stays because
+/// speculation's lookahead workers rely on its claim protocol
+/// ([`SharedCache::try_claim`] / [`SharedCache::fulfill`]).
 ///
 /// Each point is computed exactly once no matter how many threads ask for
 /// it: the first asker installs a pending claim, everyone else
@@ -327,30 +332,38 @@ pub struct SharedUse {
 }
 
 /// Everything one campaign's evaluator can report about its execution:
-/// the bit-identical cache stats, the shared-cache interaction counters,
-/// and the wall-clock of every flow-model compute (microseconds, in
-/// compute order) for throughput/latency summaries.
+/// the bit-identical cache stats and the wall-clock of every flow-model
+/// compute (nanoseconds, in compute order) for throughput/latency
+/// summaries.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalProfile {
     /// Local-cache hit/miss counters (the bit-identity stats).
     pub stats: EvalStats,
-    /// Shared-cache interaction counters (zero without an attached cache).
-    pub shared: SharedUse,
-    /// Wall-clock microseconds of each flow-model compute this evaluator
-    /// ran itself.
-    pub compute_micros: Vec<u64>,
+    /// Wall-clock nanoseconds of each flow-model compute this evaluator
+    /// ran itself. Nanoseconds, not microseconds: a call takes 1–7 µs, so
+    /// whole-microsecond samples would truncate to a handful of integers.
+    pub compute_nanos: Vec<u64>,
     /// Incremental stage-reuse counters of the underlying subsystem (all
-    /// zero when incremental evaluation is off). Like [`SharedUse`] these
-    /// *describe* the execution; the bit-identity contract lives in
-    /// `stats` and the measurements themselves.
+    /// zero when incremental evaluation is off). These *describe* the
+    /// execution; the bit-identity contract lives in `stats` and the
+    /// measurements themselves.
     pub incremental: IncrementalUse,
 }
 
-/// The matrix-scoped evaluation context: one bundle of [`SharedCache`]s
-/// created at the top of a campaign matrix and attached to every cell's
-/// evaluator, so identical canonical points measured by different
-/// strategy×seed cells are computed once per matrix instead of once per
-/// cell.
+/// A matrix-scoped evaluation context: one bundle of [`SharedCache`]s that
+/// a caller attaches to several campaigns' evaluators, so identical
+/// canonical points measured by different strategy×seed cells are computed
+/// once instead of once per cell.
+///
+/// The campaign-matrix runners no longer build one: measured on the
+/// campaign benchmark, the shared tier served about 12 % of local misses
+/// on its best workload while adding roughly a flow-model call's worth of
+/// hashing, locking and publication to every miss (DESIGN.md §10). Each
+/// matrix cell now evaluates through its own memo map only. The type stays
+/// because the campaign benchmark's traced run
+/// (`crates/campaign-bench/src/layers.rs`) still builds a context to
+/// reproduce the matrix it measured; it can go with that run's next
+/// revision.
 ///
 /// Caches are scoped **per subsystem** (a [`SearchPoint`] measured on
 /// subsystem F and on subsystem H are different experiments, so one flat
@@ -498,7 +511,7 @@ pub struct Evaluator<'e> {
     memoize: bool,
     stats: EvalStats,
     shared_use: SharedUse,
-    compute_micros: Vec<u64>,
+    compute_nanos: Vec<u64>,
 }
 
 impl<'e> Evaluator<'e> {
@@ -511,7 +524,7 @@ impl<'e> Evaluator<'e> {
             memoize: true,
             stats: EvalStats::default(),
             shared_use: SharedUse::default(),
-            compute_micros: Vec::new(),
+            compute_nanos: Vec::new(),
         }
     }
 
@@ -529,7 +542,8 @@ impl<'e> Evaluator<'e> {
     /// flow model, and [`Evaluator::speculation`] will reuse it instead of
     /// creating a per-campaign cache. A no-op on an uncached evaluator —
     /// without a local memo cache the bit-identity contract could not
-    /// absorb a shared answer.
+    /// absorb a shared answer. No campaign runner calls this any more
+    /// (see [`EvalContext`] for why it is kept).
     pub fn attach_shared(&mut self, shared: Arc<SharedCache<SearchPoint, Measurement>>) {
         if self.memoize {
             self.shared = Some(shared);
@@ -540,8 +554,7 @@ impl<'e> Evaluator<'e> {
         // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
         let started = Instant::now();
         let measurement = self.engine.measure(point);
-        self.compute_micros
-            .push(started.elapsed().as_micros() as u64);
+        self.compute_nanos.push(started.elapsed().as_nanos() as u64);
         measurement
     }
 
@@ -559,14 +572,14 @@ impl<'e> Evaluator<'e> {
         self.stats.misses += 1;
         let measurement = if let Some(shared) = self.shared.as_ref().map(Arc::clone) {
             let engine = &mut *self.engine;
-            let micros = &mut self.compute_micros;
+            let nanos = &mut self.compute_nanos;
             let mut computed_here = false;
             let measurement = shared.get_or_compute(point, || {
                 computed_here = true;
                 // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
                 let started = Instant::now();
                 let measurement = engine.measure(point);
-                micros.push(started.elapsed().as_micros() as u64);
+                nanos.push(started.elapsed().as_nanos() as u64);
                 measurement
             });
             if computed_here {
@@ -636,18 +649,19 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Shared-cache interaction counters so far (all zero without an
-    /// attached cache).
+    /// attached cache or speculation). Kept for the same reason as
+    /// [`Evaluator::attach_shared`]: the campaign benchmark's traced run
+    /// reads it.
     pub fn shared_use(&self) -> SharedUse {
         self.shared_use
     }
 
-    /// The full execution profile: stats, shared-cache interaction, and
-    /// per-compute wall-clock.
+    /// The full execution profile: stats, per-compute wall-clock, and the
+    /// engine's incremental reuse.
     pub fn profile(&self) -> EvalProfile {
         EvalProfile {
             stats: self.stats,
-            shared: self.shared_use,
-            compute_micros: self.compute_micros.clone(),
+            compute_nanos: self.compute_nanos.clone(),
             incremental: self.engine.subsystem().incremental_use(),
         }
     }
@@ -997,7 +1011,7 @@ mod tests {
                 served: 1
             }
         );
-        assert!(evaluator.profile().compute_micros.is_empty());
+        assert!(evaluator.profile().compute_nanos.is_empty());
         // A genuinely new point is computed through the shared cache.
         let _ = evaluator.measure(&SearchPoint::benign());
         assert_eq!(
@@ -1007,7 +1021,7 @@ mod tests {
                 served: 1
             }
         );
-        assert_eq!(evaluator.profile().compute_micros.len(), 1);
+        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
     }
 
     #[test]
@@ -1017,12 +1031,12 @@ mod tests {
         let p = anomalous_point();
         let _ = evaluator.measure(&p);
         let _ = evaluator.measure(&p);
-        assert_eq!(evaluator.profile().compute_micros.len(), 1);
+        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
         let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
         let mut uncached = Evaluator::uncached(&mut engine);
         let _ = uncached.measure(&p);
         let _ = uncached.measure(&p);
-        assert_eq!(uncached.profile().compute_micros.len(), 2);
+        assert_eq!(uncached.profile().compute_nanos.len(), 2);
     }
 
     #[test]

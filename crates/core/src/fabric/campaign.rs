@@ -20,7 +20,7 @@
 //! relabelled random baseline.
 
 use super::{FabricEngine, FabricEvaluator};
-use crate::eval::{EvalProfile, EvalStats, SharedCache};
+use crate::eval::{EvalProfile, EvalStats};
 use crate::monitor::{AnomalyMonitor, FeatureCondition, Symptom};
 use crate::search::domain::{CampaignReport, ExtractionCost, SearchDomain};
 use crate::search::kernel::{run_annealing, run_bayesian, run_random, CampaignLoop};
@@ -362,20 +362,17 @@ pub fn run_fabric_search_with_stats(
     space: &FabricSpace,
     config: &SearchConfig,
 ) -> (FabricOutcome, EvalStats) {
-    let (outcome, profile) = run_fabric_search_in_context(engine, space, config, None);
+    let (outcome, profile) = run_fabric_search_in_context(engine, space, config);
     (outcome, profile.stats)
 }
 
-/// Run one fabric campaign with an optional matrix-scoped [`SharedCache`]
-/// attached (see [`crate::eval::EvalContext`]): the fabric counterpart of
-/// [`run_search_in_context`](crate::search::run_search_in_context), with
-/// the same bit-identity contract — commits go through the evaluator's
-/// local cache, so the outcome and stats are independent of `shared`.
+/// Run one fabric campaign and return its full [`EvalProfile`]: the fabric
+/// counterpart of
+/// [`run_search_in_context`](crate::search::run_search_in_context).
 pub fn run_fabric_search_in_context(
     engine: &mut FabricEngine,
     space: &FabricSpace,
     config: &SearchConfig,
-    shared: Option<std::sync::Arc<SharedCache<FabricPoint, FabricMeasurement>>>,
 ) -> (FabricOutcome, EvalProfile) {
     // The two-host legacy-compat knobs never describe a fabric behaviour:
     // the fabric stack always had identity-keyed dedup and a stuck-walk
@@ -395,9 +392,6 @@ pub fn run_fabric_search_in_context(
     } else {
         FabricEvaluator::uncached(engine)
     };
-    if let Some(shared) = shared {
-        evaluator.attach_shared(shared);
-    }
     let outcome = {
         let domain = FabricDomain::new(&mut evaluator, &monitor, space, config.signal);
         let mut campaign = CampaignLoop::new(domain, config);

@@ -199,7 +199,7 @@ pub struct FabricEvaluator<'e> {
     memoize: bool,
     stats: EvalStats,
     shared_use: SharedUse,
-    compute_micros: Vec<u64>,
+    compute_nanos: Vec<u64>,
 }
 
 struct ForkedFabricWorker {
@@ -222,14 +222,16 @@ impl<'e> FabricEvaluator<'e> {
             memoize: true,
             stats: EvalStats::default(),
             shared_use: SharedUse::default(),
-            compute_micros: Vec::new(),
+            compute_nanos: Vec::new(),
         }
     }
 
     /// Attach a matrix-scoped shared cache (see
     /// [`Evaluator::attach_shared`](crate::eval::Evaluator::attach_shared)):
     /// local misses are answered through `shared` while [`Self::stats`] stay
-    /// bit-identical. No-op when memoization is off.
+    /// bit-identical. No-op when memoization is off. No campaign runner
+    /// calls this any more; it is kept for the campaign benchmark's traced
+    /// run (see [`EvalContext`](crate::eval::EvalContext)).
     pub fn attach_shared(&mut self, shared: Arc<SharedCache<FabricPoint, FabricMeasurement>>) {
         if self.memoize {
             self.shared = Some(shared);
@@ -259,14 +261,14 @@ impl<'e> FabricEvaluator<'e> {
         self.stats.misses += 1;
         let measurement = if let Some(shared) = self.shared.as_ref().map(Arc::clone) {
             let engine = &mut *self.engine;
-            let micros = &mut self.compute_micros;
+            let nanos = &mut self.compute_nanos;
             let mut computed_here = false;
             let measurement = shared.get_or_compute(point, || {
                 computed_here = true;
                 // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
                 let started = Instant::now();
                 let measurement = engine.measure(point);
-                micros.push(started.elapsed().as_micros() as u64);
+                nanos.push(started.elapsed().as_nanos() as u64);
                 measurement
             });
             if computed_here {
@@ -287,8 +289,7 @@ impl<'e> FabricEvaluator<'e> {
         // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
         let started = Instant::now();
         let measurement = self.engine.measure(point);
-        self.compute_micros
-            .push(started.elapsed().as_micros() as u64);
+        self.compute_nanos.push(started.elapsed().as_nanos() as u64);
         measurement
     }
 
@@ -325,9 +326,9 @@ impl<'e> FabricEvaluator<'e> {
         if !self.memoize || workers == 0 {
             return None;
         }
-        // Reuse a matrix-scoped cache when one is attached so speculation
-        // workers publish where sibling cells can read; otherwise the cache
-        // is private to this campaign.
+        // Reuse an attached matrix-scoped cache so speculation workers
+        // publish where sibling cells can read; otherwise (every campaign
+        // runner) the cache is private to this campaign.
         let shared = match &self.shared {
             Some(shared) => Arc::clone(shared),
             None => Arc::new(SharedCache::new()),
@@ -359,18 +360,18 @@ impl<'e> FabricEvaluator<'e> {
     }
 
     /// Shared-cache interaction counters (see
-    /// [`Evaluator::shared_use`](crate::eval::Evaluator::shared_use)).
+    /// [`Evaluator::shared_use`](crate::eval::Evaluator::shared_use), kept
+    /// for the same reason).
     pub fn shared_use(&self) -> SharedUse {
         self.shared_use
     }
 
-    /// The full evaluation profile: local stats, shared-cache interaction,
-    /// and one wall-clock latency per fabric-model run on this thread.
+    /// The full evaluation profile: local stats and one wall-clock latency
+    /// per fabric-model run on this thread.
     pub fn profile(&self) -> EvalProfile {
         EvalProfile {
             stats: self.stats,
-            shared: self.shared_use,
-            compute_micros: self.compute_micros.clone(),
+            compute_nanos: self.compute_nanos.clone(),
             incremental: self.engine.subsystem().incremental_use(),
         }
     }
@@ -576,7 +577,7 @@ mod tests {
                 served: 1
             }
         );
-        assert!(evaluator.profile().compute_micros.is_empty());
+        assert!(evaluator.profile().compute_nanos.is_empty());
         let _ = evaluator.measure(&FabricPoint::benign());
         assert_eq!(
             evaluator.shared_use(),
@@ -585,13 +586,13 @@ mod tests {
                 served: 1
             }
         );
-        assert_eq!(evaluator.profile().compute_micros.len(), 1);
+        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
 
         let mut uncached = FabricEvaluator::uncached(&mut reference);
         uncached.attach_shared(Arc::clone(&shared));
         let _ = uncached.measure(&p);
         assert_eq!(uncached.shared_use(), SharedUse::default());
-        assert_eq!(uncached.profile().compute_micros.len(), 1);
+        assert_eq!(uncached.profile().compute_nanos.len(), 1);
     }
 
     #[test]

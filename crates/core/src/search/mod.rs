@@ -24,8 +24,7 @@ pub use domain::{CampaignReport, ExtractionCost, SearchDomain};
 use crate::engine::WorkloadEngine;
 use crate::eval::Evaluator;
 use crate::monitor::AnomalyMonitor;
-use crate::space::{SearchPoint, SearchSpace};
-use collie_rnic::subsystem::Measurement;
+use crate::space::SearchSpace;
 use collie_sim::time::SimDuration;
 use kernel::CampaignLoop;
 use serde::{Deserialize, Serialize};
@@ -336,23 +335,18 @@ pub fn run_search_with_stats(
     space: &SearchSpace,
     config: &SearchConfig,
 ) -> (SearchOutcome, crate::eval::EvalStats) {
-    let (outcome, profile) = run_search_in_context(engine, space, config, None);
+    let (outcome, profile) = run_search_in_context(engine, space, config);
     (outcome, profile.stats)
 }
 
-/// Run one search campaign with an optional matrix-scoped
-/// [`SharedCache`](crate::eval::SharedCache) attached (see
-/// [`crate::eval::EvalContext`]): local misses read through the shared
-/// cache and computes are published for sibling cells, while commits still
-/// go through the evaluator's local cache so the outcome and its
-/// [`EvalStats`](crate::eval::EvalStats) are bit-identical with or without
-/// `shared`. Returns the full [`EvalProfile`](crate::eval::EvalProfile)
-/// for perf harnesses.
+/// Run one search campaign through its own memo cache and return the full
+/// [`EvalProfile`](crate::eval::EvalProfile) for perf harnesses: the
+/// [`EvalStats`](crate::eval::EvalStats) [`run_search_with_stats`]
+/// reports, plus per-compute latencies and incremental-reuse counters.
 pub fn run_search_in_context(
     engine: &mut WorkloadEngine,
     space: &SearchSpace,
     config: &SearchConfig,
-    shared: Option<std::sync::Arc<crate::eval::SharedCache<SearchPoint, Measurement>>>,
 ) -> (SearchOutcome, crate::eval::EvalProfile) {
     let monitor = AnomalyMonitor::new();
     engine.set_incremental(config.incremental);
@@ -361,9 +355,6 @@ pub fn run_search_in_context(
     } else {
         Evaluator::uncached(engine)
     };
-    if let Some(shared) = shared {
-        evaluator.attach_shared(shared);
-    }
     let outcome = {
         let domain = WorkloadDomain::new(&mut evaluator, &monitor, space, config.signal);
         let mut campaign = CampaignLoop::new(domain, config);

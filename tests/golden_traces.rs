@@ -40,10 +40,7 @@
 //! the current-code fixtures it is pointed at; the pre-kernel files are
 //! historical and must never be regenerated.)
 
-use collie_bench::{
-    run_campaign_matrix, run_campaign_matrix_report, run_fabric_campaign_matrix,
-    run_fabric_campaign_matrix_report, CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
-};
+use collie_bench::{run_campaign_matrix, run_fabric_campaign_matrix, CampaignSpec, DEFAULT_SEEDS};
 use collie_core::fabric::FabricOutcome;
 use collie_core::search::{SearchConfig, SearchOutcome, SignalMode};
 use collie_rnic::subsystems::SubsystemId;
@@ -461,43 +458,6 @@ fn golden_grids_replay_bit_identically_under_speculation() {
             }
         }
     }
-}
-
-#[test]
-fn golden_grids_are_cache_sharing_independent() {
-    // The PR 7 tentpole's differential statement: `run_campaign_matrix`
-    // now threads one matrix-scoped shared cache through every cell (so
-    // every fixture test above already runs sharing-ON), and turning the
-    // sharing *off* must reproduce the same golden streams byte for byte —
-    // commits go through each cell's local cache either way. One
-    // second-generation grid per stack keeps the runtime in budget; the
-    // full fixture set runs the sharing-ON leg above.
-    let cells = fig4_cells();
-    let oracle = render_two_host(&cells);
-    let solo = run_campaign_matrix_report(&cells, &MatrixOptions::new(2).without_shared_cache());
-    let golden: Vec<GoldenCell> = cells
-        .iter()
-        .zip(&solo.cells)
-        .map(|(cell, result)| GoldenCell::from_search(&result.outcome, cell.config.seed))
-        .collect();
-    let replay = serde_json::to_string_pretty(&golden).expect("golden cells serialize");
-    assert_same_stream(
-        "golden_fig4_kernel.json (shared cache off)",
-        &oracle,
-        &replay,
-    );
-
-    let cells = fig7_bo_cells();
-    let oracle = render_fabric(&cells);
-    let solo =
-        run_fabric_campaign_matrix_report(&cells, &MatrixOptions::new(2).without_shared_cache());
-    let golden: Vec<GoldenCell> = cells
-        .iter()
-        .zip(&solo.cells)
-        .map(|(cell, result)| GoldenCell::from_fabric(&result.outcome, cell.config.seed))
-        .collect();
-    let replay = serde_json::to_string_pretty(&golden).expect("golden cells serialize");
-    assert_same_stream("golden_fig7_bo.json (shared cache off)", &oracle, &replay);
 }
 
 #[test]
