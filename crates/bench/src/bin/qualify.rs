@@ -17,6 +17,9 @@
 //!   that is anomalous again is reported as a regression and fails the run.
 //! * `--out <path>` — write the (merged) regression catalog back to disk.
 //! * `--json` — print only the `JSON:` block.
+//!
+//! Exit status: `0` success, `1` a regression or an unverified paper fix,
+//! `2` a usage error or a catalog that cannot be read or written.
 #![forbid(unsafe_code)]
 
 use collie_bench::{default_workers, parallel_map, text_table};
@@ -28,38 +31,35 @@ use collie_core::remedy::{
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: qualify [--catalog <path>] [--out <path>] [--json]";
+
+#[derive(Debug, Default, PartialEq)]
 struct Options {
     catalog: Option<PathBuf>,
     out: Option<PathBuf>,
     json_only: bool,
 }
 
-fn parse_args() -> Options {
-    let mut options = Options {
-        catalog: None,
-        out: None,
-        json_only: false,
-    };
-    let mut args = std::env::args().skip(1);
+/// Parse the arguments after the program name. `Err` carries the message
+/// of a usage error: an unknown argument or a flag missing its path.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options::default();
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--catalog" => {
-                let path = args.next().expect("--catalog needs a path");
-                options.catalog = Some(PathBuf::from(path));
-            }
-            "--out" => {
-                let path = args.next().expect("--out needs a path");
-                options.out = Some(PathBuf::from(path));
-            }
+            "--catalog" => match args.next() {
+                Some(path) if !path.starts_with('-') => options.catalog = Some(path.into()),
+                _ => return Err("--catalog needs a path".to_string()),
+            },
+            "--out" => match args.next() {
+                Some(path) if !path.starts_with('-') => options.out = Some(path.into()),
+                _ => return Err("--out needs a path".to_string()),
+            },
             "--json" => options.json_only = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: qualify [--catalog <path>] [--out <path>] [--json]");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    options
+    Ok(options)
 }
 
 fn verdict_cell(record: &QualificationRecord) -> String {
@@ -87,7 +87,14 @@ fn steps_cell(record: &QualificationRecord) -> String {
 }
 
 fn main() -> ExitCode {
-    let options = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = match parse_args(&args) {
+        Ok(options) => options,
+        Err(message) => {
+            eprintln!("qualify: {message}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut catalog = match &options.catalog {
         Some(path) => match RegressionCatalog::load(path) {
@@ -230,5 +237,40 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|arg| arg.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn valid_flags_parse() {
+        assert_eq!(parse(&[]), Ok(Options::default()));
+        assert_eq!(
+            parse(&["--catalog", "x", "--out", "y", "--json"]),
+            Ok(Options {
+                catalog: Some(PathBuf::from("x")),
+                out: Some(PathBuf::from("y")),
+                json_only: true,
+            })
+        );
+    }
+
+    #[test]
+    fn usage_errors_are_rejected_with_a_message() {
+        for (args, message) in [
+            (&["--catalog"][..], "--catalog needs a path"),
+            (&["--out"][..], "--out needs a path"),
+            (&["--out", "--json"][..], "--out needs a path"),
+            (&["--fast"][..], "unknown argument --fast"),
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} must be a usage error"));
+            assert!(err.contains(message), "{args:?}: {err}");
+        }
     }
 }

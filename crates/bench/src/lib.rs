@@ -62,35 +62,21 @@ impl CampaignSpec {
 
 /// The worker-pool width used when the caller does not pick one: the
 /// `COLLIE_WORKERS` environment variable when set (clamped to at least 1),
-/// otherwise the machine's parallelism run through [`budgeted_workers`] so
-/// the matrix pool and any per-campaign speculation pools share one global
-/// budget instead of multiplying against each other.
+/// otherwise the machine's parallelism clamped to `2..=16`.
 pub fn default_workers() -> usize {
-    match collie_core::env::workers() {
-        Some(workers) => workers,
-        None => {
-            let available = std::thread::available_parallelism()
+    collie_core::env::workers().unwrap_or_else(|| {
+        auto_workers(
+            std::thread::available_parallelism()
                 .map(|n| n.get())
-                .unwrap_or(4);
-            budgeted_workers(available, SearchConfig::default_speculation())
-        }
-    }
+                .unwrap_or(4),
+        )
+    })
 }
 
-/// One global worker budget for the two nested thread pools: the matrix
-/// fans cells out across campaign threads, and with `COLLIE_SPECULATION`
-/// set each campaign additionally spawns `lookahead` speculation workers —
-/// so an unbudgeted matrix on a 16-core host with lookahead 4 would run
-/// 16 × (1 + 4) = 80 threads. Divide the machine by each cell's thread
-/// footprint (`1 + lookahead`) so total threads stay near `available`;
-/// without speculation this is the historical `clamp(2, 16)` width.
-/// `COLLIE_WORKERS` bypasses the budget entirely (the operator knows
-/// better).
-pub fn budgeted_workers(available: usize, speculation: Option<usize>) -> usize {
-    match speculation {
-        Some(lookahead) => (available / (1 + lookahead.max(1))).clamp(1, 16),
-        None => available.clamp(2, 16),
-    }
+/// The automatic pool width for `available` hardware threads, clamped to
+/// `2..=16`.
+fn auto_workers(available: usize) -> usize {
+    available.clamp(2, 16)
 }
 
 /// Map `f` over `items` on a bounded pool of scoped worker threads,
@@ -567,29 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_budget_accounts_for_speculation_oversubscription() {
-        // Serial matrices keep the historical width: the machine's
+    fn automatic_width_clamps_the_machine_parallelism() {
+        // The width used when COLLIE_WORKERS is unset: the machine's
         // parallelism clamped to [2, 16].
         for (available, expected) in [(1, 2), (2, 2), (8, 8), (16, 16), (64, 16)] {
-            assert_eq!(budgeted_workers(available, None), expected, "{available}");
-        }
-        // With COLLIE_SPECULATION each cell runs 1 + lookahead threads, so
-        // the matrix width divides the machine by that footprint instead of
-        // multiplying against it: 16 cores at lookahead 4 budget 3 cells
-        // (15 threads), not 16 cells (80 threads).
-        for (available, lookahead, expected) in [
-            (16, 4, 3),
-            (16, 1, 8),
-            (8, 8, 1),
-            (2, 4, 1),   // never an empty pool
-            (64, 0, 16), // degenerate lookahead counts as 1; ceiling holds
-            (96, 1, 16), // the historical ceiling still applies
-        ] {
-            assert_eq!(
-                budgeted_workers(available, Some(lookahead)),
-                expected,
-                "available={available} lookahead={lookahead}"
-            );
+            assert_eq!(auto_workers(available), expected, "{available}");
         }
     }
 

@@ -27,9 +27,8 @@ use collie_rnic::subsystems::SubsystemId;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::hash::Hash;
+use std::sync::Arc;
 // collie-lint: allow(wall-clock, reason = "EvalProfile records real compute latency; it never feeds a campaign decision")
 use std::time::Instant;
 
@@ -55,91 +54,54 @@ impl EvalStats {
     }
 }
 
-const SHARD_COUNT: usize = 16;
-
-/// One entry of a [`SharedCache`] shard.
-enum Slot<M> {
-    /// Claimed: some thread is computing this point right now.
-    Pending,
-    /// Computed and published.
-    Ready(Arc<M>),
-}
-
-/// Outcome of [`SharedCache::try_claim`].
-pub enum Claim<M> {
-    /// The caller owns the computation and **must** call
-    /// [`SharedCache::fulfill`] for this point.
-    Mine,
-    /// Another thread is already computing this point.
-    InFlight,
-    /// The measurement is already published.
-    Ready(Arc<M>),
-}
-
-struct Shard<P, M> {
-    slots: parking_lot::Mutex<HashMap<P, Slot<M>>>,
-    /// Signalled whenever a pending slot of this shard becomes ready.
-    ready: Condvar,
-}
-
-/// A sharded concurrent memo cache shared between a committing evaluator
-/// and its speculation workers.
+/// A concurrent memo cache several evaluators can read through: one mutex
+/// over the point → measurement map, its FIFO publication order and the
+/// counters.
 ///
 /// The campaign-matrix runners used to attach one of these per subsystem
 /// to every cell (see [`EvalContext`]); that tier cost more per local miss
-/// than it saved and was removed (DESIGN.md §10). The cache stays because
-/// speculation's lookahead workers rely on its claim protocol
-/// ([`SharedCache::try_claim`] / [`SharedCache::fulfill`]).
+/// than it saved and was removed (DESIGN.md §10). The cache stays only
+/// because the campaign benchmark's traced run still attaches one.
 ///
-/// Each point is computed exactly once no matter how many threads ask for
-/// it: the first asker installs a pending claim, everyone else
-/// either blocks on the shard's condvar ([`SharedCache::get_or_compute`])
-/// or backs off ([`SharedCache::try_claim`]) until the claimant publishes
-/// via [`SharedCache::fulfill`]. The stats invariant — `T` calls to
-/// `get_or_compute` over `D` distinct keys give exactly `computed == D`
-/// and `served == T − D` — is what the concurrency tests pin; a *bounded*
-/// cache ([`SharedCache::bounded`]) relaxes only the `computed` half: an
-/// evicted key recomputes on its next ask, so `computed` counts engine
-/// runs exactly and `evicted` counts FIFO removals exactly.
+/// A miss is computed while the lock is held, so each point is computed
+/// exactly once no matter how many threads ask for it: `T` calls to
+/// [`SharedCache::get_or_compute`] over `D` distinct keys give exactly
+/// `computed == D` and `served == T − D` (the concurrency test pins this).
+/// A *bounded* cache ([`SharedCache::bounded`]) relaxes only the
+/// `computed` half: an evicted key recomputes on its next ask, so
+/// `computed` counts engine runs exactly and `evicted` counts FIFO
+/// removals exactly.
 pub struct SharedCache<P, M> {
-    shards: Vec<Shard<P, M>>,
     /// `Some(n)`: hold at most `n` published measurements, evicting the
-    /// oldest publication first. `None`: unbounded (the per-campaign
-    /// speculation tier, whose lifetime already bounds it).
+    /// oldest publication first. `None`: unbounded.
     capacity: Option<usize>,
-    /// Publication order, oldest first — touched only on
-    /// [`SharedCache::fulfill`], so the hot read path stays sharded. Never
-    /// locked while a shard lock is held (and vice versa), so the two lock
-    /// families cannot deadlock.
-    order: parking_lot::Mutex<VecDeque<P>>,
-    computed: AtomicU64,
-    served: AtomicU64,
-    evicted: AtomicU64,
+    state: parking_lot::Mutex<CacheState<P, M>>,
+}
+
+struct CacheState<P, M> {
+    slots: HashMap<P, Arc<M>>,
+    /// Publication order, oldest first (kept only when bounded).
+    order: VecDeque<P>,
+    totals: CacheTotals,
 }
 
 impl<P: Clone + Eq + Hash, M> SharedCache<P, M> {
     /// An empty, unbounded cache.
     pub fn new() -> Self {
         SharedCache {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Shard {
-                    slots: parking_lot::Mutex::new(HashMap::new()),
-                    ready: Condvar::new(),
-                })
-                .collect(),
             capacity: None,
-            order: parking_lot::Mutex::new(VecDeque::new()),
-            computed: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
+            state: parking_lot::Mutex::new(CacheState {
+                slots: HashMap::new(),
+                order: VecDeque::new(),
+                totals: CacheTotals::default(),
+            }),
         }
     }
 
     /// An empty cache holding at most `capacity` published measurements
-    /// (clamped to at least 1), evicting in publication (FIFO) order. The
-    /// matrix-scoped cache is bounded so a fleet-size grid cannot grow it
-    /// without bound; eviction is safe because an evicted point simply
-    /// recomputes on its next ask.
+    /// (clamped to at least 1), evicting in publication (FIFO) order.
+    /// Eviction is safe because an evicted point simply recomputes on its
+    /// next ask.
     pub fn bounded(capacity: usize) -> Self {
         SharedCache {
             capacity: Some(capacity.max(1)),
@@ -147,128 +109,39 @@ impl<P: Clone + Eq + Hash, M> SharedCache<P, M> {
         }
     }
 
-    fn shard(&self, point: &P) -> &Shard<P, M> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        point.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
-    }
-
     /// Return the published measurement for `point`, computing it with
-    /// `compute` if this caller is the first asker, or blocking until the
-    /// current claimant publishes it.
+    /// `compute` under the cache lock if no caller published it yet. On a
+    /// bounded cache the new publication evicts the oldest ones beyond
+    /// capacity.
     pub fn get_or_compute(&self, point: &P, compute: impl FnOnce() -> M) -> Arc<M> {
-        let shard = self.shard(point);
-        let mut slots = shard.slots.lock();
-        loop {
-            match slots.get(point) {
-                Some(Slot::Ready(measurement)) => {
-                    self.served.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(measurement);
-                }
-                Some(Slot::Pending) => {
-                    slots = shard.ready.wait(slots).unwrap_or_else(|e| e.into_inner());
-                }
-                None => {
-                    slots.insert(point.clone(), Slot::Pending);
-                    drop(slots);
-                    let measurement = compute();
-                    return self.fulfill(point.clone(), measurement);
-                }
-            }
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        if let Some(measurement) = state.slots.get(point) {
+            state.totals.served += 1;
+            return Arc::clone(measurement);
         }
-    }
-
-    /// Claim `point` without blocking. A `Mine` claimant owns the compute
-    /// and must publish through [`SharedCache::fulfill`]; nobody else may
-    /// fulfill a point they did not claim.
-    pub fn try_claim(&self, point: &P) -> Claim<M> {
-        let mut slots = self.shard(point).slots.lock();
-        match slots.get(point) {
-            Some(Slot::Ready(measurement)) => {
-                self.served.fetch_add(1, Ordering::Relaxed);
-                Claim::Ready(Arc::clone(measurement))
-            }
-            Some(Slot::Pending) => Claim::InFlight,
-            None => {
-                slots.insert(point.clone(), Slot::Pending);
-                Claim::Mine
-            }
-        }
-    }
-
-    /// Publish the measurement for a point claimed earlier and wake every
-    /// thread blocked on it. On a bounded cache this is also where FIFO
-    /// eviction runs: the just-published key joins the back of the
-    /// publication queue and the oldest keys beyond capacity are removed.
-    pub fn fulfill(&self, point: P, measurement: M) -> Arc<M> {
-        let shard = self.shard(&point);
-        let measurement = Arc::new(measurement);
-        shard
-            .slots
-            .lock()
-            .insert(point.clone(), Slot::Ready(Arc::clone(&measurement)));
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        shard.ready.notify_all();
+        let measurement = Arc::new(compute());
+        state.slots.insert(point.clone(), Arc::clone(&measurement));
+        state.totals.computed += 1;
         if let Some(capacity) = self.capacity {
-            let victims = {
-                let mut order = self.order.lock();
-                order.push_back(point);
-                let overflow = order.len().saturating_sub(capacity);
-                order.drain(..overflow).collect::<Vec<_>>()
-            };
-            for victim in victims {
-                let mut slots = self.shard(&victim).slots.lock();
-                // Only published slots are evictable: if the key was
-                // re-claimed between the queue pop and this lock, the
-                // Pending slot has a claimant (and possibly waiters)
-                // relying on it and must survive; the claimant's fulfill
-                // re-queues the key.
-                if matches!(slots.get(&victim), Some(Slot::Ready(_))) {
-                    slots.remove(&victim);
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
+            state.order.push_back(point.clone());
+            let overflow = state.order.len().saturating_sub(capacity);
+            for victim in state.order.drain(..overflow) {
+                state.slots.remove(&victim);
+                state.totals.evicted += 1;
             }
         }
         measurement
     }
 
-    /// The published measurement, if any — never blocks, never counts as a
-    /// serve (used by speculation heuristics, not by evaluators).
+    /// The published measurement, if any; never counts as a serve.
     pub fn peek(&self, point: &P) -> Option<Arc<M>> {
-        match self.shard(point).slots.lock().get(point) {
-            Some(Slot::Ready(measurement)) => Some(Arc::clone(measurement)),
-            _ => None,
-        }
-    }
-
-    /// Whether the point is claimed or published.
-    pub fn contains(&self, point: &P) -> bool {
-        self.shard(point).slots.lock().contains_key(point)
-    }
-
-    /// Number of measurements computed (each distinct point exactly once).
-    pub fn computed_count(&self) -> u64 {
-        self.computed.load(Ordering::Relaxed)
-    }
-
-    /// Number of requests answered from an already-published slot.
-    pub fn served_count(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Number of published measurements removed by the capacity bound
-    /// (always 0 on an unbounded cache).
-    pub fn evicted_count(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.state.lock().slots.get(point).map(Arc::clone)
     }
 
     /// This cache's computed/served/evicted counters as one snapshot.
     pub fn totals(&self) -> CacheTotals {
-        CacheTotals {
-            computed: self.computed_count(),
-            served: self.served_count(),
-            evicted: self.evicted_count(),
-        }
+        self.state.lock().totals
     }
 }
 
@@ -282,9 +155,7 @@ impl<P, M> fmt::Debug for SharedCache<P, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedCache")
             .field("capacity", &self.capacity)
-            .field("computed", &self.computed.load(Ordering::Relaxed))
-            .field("served", &self.served.load(Ordering::Relaxed))
-            .field("evicted", &self.evicted.load(Ordering::Relaxed))
+            .field("totals", &self.state.lock().totals)
             .finish()
     }
 }
@@ -315,13 +186,13 @@ impl std::ops::Add for CacheTotals {
 }
 
 /// How one evaluator interacted with its attached [`SharedCache`]: local
-/// misses it computed through the cache vs. local misses another thread
-/// (a speculation worker or a sibling matrix cell) had already published.
+/// misses it computed through the cache vs. local misses another evaluator
+/// had already published.
 ///
 /// Kept separate from [`EvalStats`] on purpose: the hit/miss stats are part
-/// of the bit-identity contract (equal across serial, speculative, shared,
-/// and unshared runs), while these counters *describe* the sharing and are
-/// timing-dependent by nature.
+/// of the bit-identity contract (equal across shared and unshared runs),
+/// while these counters *describe* the sharing and depend on which
+/// evaluator asked first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SharedUse {
     /// Local misses this evaluator computed itself (through the shared
@@ -451,46 +322,6 @@ impl Default for EvalContext {
     }
 }
 
-/// A speculation worker: computes measurements for pre-drawn points on its
-/// own forked engine, publishing them into the [`SharedCache`].
-pub trait SpecWorker<P, M>: Send {
-    /// Compute the measurement for `point` from scratch.
-    fn compute(&mut self, point: &P) -> M;
-
-    /// Compute a whole batch, returning one measurement per point in
-    /// order. Semantically identical to calling [`SpecWorker::compute`]
-    /// point by point (the default does exactly that); workers backed by
-    /// an incremental engine override this so the batch shares stage
-    /// results.
-    fn compute_batch(&mut self, points: &[P]) -> Vec<M> {
-        points.iter().map(|point| self.compute(point)).collect()
-    }
-}
-
-/// Everything a campaign loop needs to evaluate speculatively: the shared
-/// memo cache (already wired into the committing evaluator) plus one
-/// independent engine fork per evaluation thread.
-pub struct SpeculationParts<P, M> {
-    /// Concurrent cache shared by the committing evaluator and all workers.
-    pub shared: Arc<SharedCache<P, M>>,
-    /// One forked compute engine per worker thread.
-    pub workers: Vec<Box<dyn SpecWorker<P, M>>>,
-}
-
-struct ForkedEngineWorker {
-    engine: WorkloadEngine,
-}
-
-impl SpecWorker<SearchPoint, Measurement> for ForkedEngineWorker {
-    fn compute(&mut self, point: &SearchPoint) -> Measurement {
-        self.engine.measure(point)
-    }
-
-    fn compute_batch(&mut self, points: &[SearchPoint]) -> Vec<Measurement> {
-        self.engine.measure_batch(points)
-    }
-}
-
 /// A memoizing wrapper around one engine.
 ///
 /// The evaluator does **not** do cost accounting: callers (the campaign,
@@ -499,10 +330,10 @@ impl SpecWorker<SearchPoint, Measurement> for ForkedEngineWorker {
 /// repeat would have to run. Memoization only skips the flow-model
 /// recompute.
 ///
-/// With speculation enabled ([`Evaluator::speculation`]) a local miss
-/// first consults the [`SharedCache`] that worker threads fill; the
-/// hit/miss stats are counted off the local cache alone, so they are
-/// bit-identical whether or not workers got there first.
+/// With a [`SharedCache`] attached ([`Evaluator::attach_shared`]) a local
+/// miss first consults it; the hit/miss stats are counted off the local
+/// cache alone, so they are bit-identical whether or not another evaluator
+/// published the point first.
 #[derive(Debug)]
 pub struct Evaluator<'e> {
     engine: &'e mut WorkloadEngine,
@@ -539,11 +370,10 @@ impl<'e> Evaluator<'e> {
 
     /// Attach a matrix-scoped [`SharedCache`] (usually obtained from an
     /// [`EvalContext`]): local misses will consult it before running the
-    /// flow model, and [`Evaluator::speculation`] will reuse it instead of
-    /// creating a per-campaign cache. A no-op on an uncached evaluator —
-    /// without a local memo cache the bit-identity contract could not
-    /// absorb a shared answer. No campaign runner calls this any more
-    /// (see [`EvalContext`] for why it is kept).
+    /// flow model. A no-op on an uncached evaluator — without a local memo
+    /// cache the bit-identity contract could not absorb a shared answer.
+    /// No campaign runner calls this any more (see [`EvalContext`] for why
+    /// it is kept).
     pub fn attach_shared(&mut self, shared: Arc<SharedCache<SearchPoint, Measurement>>) {
         if self.memoize {
             self.shared = Some(shared);
@@ -595,16 +425,6 @@ impl<'e> Evaluator<'e> {
         (*measurement).clone()
     }
 
-    /// Measure a whole batch of points in order, each through the memo
-    /// cache exactly as [`Evaluator::measure`] would — the stats, the
-    /// cache contents, and the returned measurements are identical to the
-    /// point-by-point loop. The batch exists so callers holding a whole
-    /// lookahead set can hand it over in one call and an incremental
-    /// engine underneath can share stage results across the set.
-    pub fn measure_batch(&mut self, points: &[SearchPoint]) -> Vec<Measurement> {
-        points.iter().map(|point| self.measure(point)).collect()
-    }
-
     /// The paper's §6 measurement procedure through the cache: sample the
     /// experiment `samples_per_iteration` times (repeats are cache hits)
     /// and assess the final sample. The engine is deterministic, so every
@@ -649,7 +469,7 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Shared-cache interaction counters so far (all zero without an
-    /// attached cache or speculation). Kept for the same reason as
+    /// attached cache). Kept for the same reason as
     /// [`Evaluator::attach_shared`]: the campaign benchmark's traced run
     /// reads it.
     pub fn shared_use(&self) -> SharedUse {
@@ -669,35 +489,6 @@ impl<'e> Evaluator<'e> {
     /// Number of distinct points held in the cache.
     pub fn cached_points(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Prepare shared-cache speculation: wires a [`SharedCache`] into this
-    /// evaluator — reusing an attached matrix-scoped cache when one is
-    /// present, so speculation workers publish where sibling cells read —
-    /// and forks `workers` independent engines for the worker threads.
-    /// Returns `None` when memoization is off (without a memo cache,
-    /// speculated results could not be handed back to the committing loop)
-    /// or when no workers were requested.
-    pub fn speculation(
-        &mut self,
-        workers: usize,
-    ) -> Option<SpeculationParts<SearchPoint, Measurement>> {
-        if !self.memoize || workers == 0 {
-            return None;
-        }
-        let shared = match &self.shared {
-            Some(shared) => Arc::clone(shared),
-            None => Arc::new(SharedCache::new()),
-        };
-        self.shared = Some(Arc::clone(&shared));
-        let workers = (0..workers)
-            .map(|_| {
-                Box::new(ForkedEngineWorker {
-                    engine: self.engine.fork(),
-                }) as Box<dyn SpecWorker<SearchPoint, Measurement>>
-            })
-            .collect();
-        Some(SpeculationParts { shared, workers })
     }
 }
 
@@ -767,34 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_batch_is_the_point_by_point_loop_through_the_cache() {
-        let mut reference = WorkloadEngine::for_catalog(SubsystemId::F);
-        let points = [
-            SearchPoint::benign(),
-            anomalous_point(),
-            SearchPoint::benign(),
-        ];
-        let expected: Vec<_> = points.iter().map(|p| reference.measure(p)).collect();
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = Evaluator::new(&mut engine);
-        assert_eq!(evaluator.measure_batch(&points), expected);
-        // The repeated benign point is a cache hit, exactly as in a loop.
-        assert_eq!(evaluator.stats(), EvalStats { hits: 1, misses: 2 });
-        assert_eq!(evaluator.cached_points(), 2);
-    }
-
-    #[test]
-    fn spec_workers_batch_and_serial_computes_agree() {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = Evaluator::new(&mut engine);
-        let mut workers = evaluator.speculation(1).expect("memoized").workers;
-        let points = vec![SearchPoint::benign(), anomalous_point()];
-        let batch = workers[0].compute_batch(&points);
-        let serial: Vec<_> = points.iter().map(|p| workers[0].compute(p)).collect();
-        assert_eq!(batch, serial);
-    }
-
-    #[test]
     fn profile_reports_the_engines_incremental_reuse() {
         let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
         engine.set_incremental(true);
@@ -849,79 +612,14 @@ mod tests {
         .expect("threads ok");
         let total = threads * repeats * keys;
         assert_eq!(
-            cache.computed_count(),
-            keys,
-            "every key computed exactly once"
+            cache.totals(),
+            CacheTotals {
+                computed: keys,
+                served: total - keys,
+                evicted: 0
+            },
+            "every key computed exactly once, no lost serve updates"
         );
-        assert_eq!(
-            cache.served_count(),
-            total - keys,
-            "no lost updates in the serve counter"
-        );
-    }
-
-    #[test]
-    fn claim_protocol_hands_each_point_to_exactly_one_claimant() {
-        let cache: SharedCache<u32, u32> = SharedCache::new();
-        assert!(matches!(cache.try_claim(&7), Claim::Mine));
-        assert!(matches!(cache.try_claim(&7), Claim::InFlight));
-        assert!(cache.contains(&7));
-        assert!(cache.peek(&7).is_none(), "pending slots are not peekable");
-        cache.fulfill(7, 49);
-        assert!(matches!(cache.try_claim(&7), Claim::Ready(v) if *v == 49));
-        assert_eq!(*cache.peek(&7).expect("ready"), 49);
-        assert_eq!(cache.computed_count(), 1);
-    }
-
-    #[test]
-    fn waiters_block_on_in_flight_points_instead_of_recomputing() {
-        let cache: Arc<SharedCache<u32, u32>> = Arc::new(SharedCache::new());
-        assert!(matches!(cache.try_claim(&1), Claim::Mine));
-        crossbeam::thread::scope(|scope| {
-            let waiter = {
-                let cache = Arc::clone(&cache);
-                scope.spawn(move |_| *cache.get_or_compute(&1, || panic!("must not recompute")))
-            };
-            // Give the waiter a chance to park before publishing.
-            // collie-lint: allow(wall-clock, reason = "test-only sleep ordering a thread interleaving; no campaign path runs here")
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            cache.fulfill(1, 11);
-            assert_eq!(waiter.join().expect("waiter ok"), 11);
-        })
-        .expect("threads ok");
-        assert_eq!(cache.computed_count(), 1);
-        assert_eq!(cache.served_count(), 1);
-    }
-
-    #[test]
-    fn speculation_workers_fill_the_cache_the_evaluator_reads() {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut reference = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = Evaluator::new(&mut engine);
-        let SpeculationParts {
-            shared,
-            mut workers,
-        } = evaluator.speculation(2).expect("memoized evaluator");
-        assert_eq!(workers.len(), 2);
-        let p = anomalous_point();
-        let m = workers[0].compute(&p);
-        assert_eq!(m, reference.measure(&p), "fork agrees with a fresh engine");
-        shared.fulfill(p.clone(), m);
-        // A local miss consults the shared cache: the stats still record a
-        // miss (they are counted off the local cache alone), but the value
-        // comes from the worker's publication, not a recompute.
-        let got = evaluator.measure(&p);
-        assert_eq!(got, reference.measure(&p));
-        assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 1 });
-        assert_eq!(shared.computed_count(), 1);
-        assert_eq!(shared.served_count(), 1);
-    }
-
-    #[test]
-    fn speculation_requires_memoization_and_workers() {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        assert!(Evaluator::uncached(&mut engine).speculation(4).is_none());
-        assert!(Evaluator::new(&mut engine).speculation(0).is_none());
     }
 
     #[test]
@@ -931,19 +629,22 @@ mod tests {
             assert_eq!(*cache.get_or_compute(&k, || k * 10), k * 10);
         }
         // Capacity 2: publishing key 3 evicted key 1 (oldest first).
-        assert_eq!(cache.computed_count(), 3);
-        assert_eq!(cache.evicted_count(), 1);
+        assert_eq!(
+            cache.totals(),
+            CacheTotals {
+                computed: 3,
+                served: 0,
+                evicted: 1
+            }
+        );
         assert!(cache.peek(&1).is_none(), "key 1 must be evicted");
         assert!(cache.peek(&2).is_some() && cache.peek(&3).is_some());
         // An evicted key recomputes on its next ask (and its re-publication
         // evicts key 2, the new oldest resident).
         assert_eq!(*cache.get_or_compute(&1, || 10), 10);
-        assert_eq!(cache.computed_count(), 4);
-        assert_eq!(cache.evicted_count(), 2);
         assert!(cache.peek(&2).is_none(), "key 2 must be evicted");
         // Resident keys still serve without recompute.
         assert_eq!(*cache.get_or_compute(&3, || panic!("resident")), 30);
-        assert_eq!(cache.served_count(), 1);
         assert_eq!(
             cache.totals(),
             CacheTotals {
@@ -959,21 +660,8 @@ mod tests {
         let cache: SharedCache<u32, u32> = SharedCache::bounded(0);
         assert_eq!(*cache.get_or_compute(&1, || 10), 10);
         assert_eq!(*cache.get_or_compute(&2, || 20), 20);
-        assert_eq!(cache.evicted_count(), 1);
+        assert_eq!(cache.totals().evicted, 1);
         assert!(cache.peek(&2).is_some(), "the newest key always survives");
-    }
-
-    #[test]
-    fn speculation_reuses_an_attached_shared_cache() {
-        let shared: Arc<SharedCache<SearchPoint, Measurement>> = Arc::new(SharedCache::new());
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = Evaluator::new(&mut engine);
-        evaluator.attach_shared(Arc::clone(&shared));
-        let parts = evaluator.speculation(1).expect("memoized evaluator");
-        assert!(
-            Arc::ptr_eq(&parts.shared, &shared),
-            "speculation workers must publish into the matrix-scoped cache"
-        );
     }
 
     #[test]
@@ -984,7 +672,11 @@ mod tests {
         evaluator.attach_shared(Arc::clone(&shared));
         let p = anomalous_point();
         let _ = evaluator.measure(&p);
-        assert_eq!(shared.computed_count(), 0, "uncached path must not share");
+        assert_eq!(
+            shared.totals(),
+            CacheTotals::default(),
+            "uncached path must not share"
+        );
         assert_eq!(evaluator.shared_use(), SharedUse::default());
     }
 
@@ -993,7 +685,7 @@ mod tests {
         let shared: Arc<SharedCache<SearchPoint, Measurement>> = Arc::new(SharedCache::new());
         let mut reference = WorkloadEngine::for_catalog(SubsystemId::F);
         let p = anomalous_point();
-        shared.fulfill(p.clone(), reference.measure(&p));
+        shared.get_or_compute(&p, || reference.measure(&p));
 
         let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
         let mut evaluator = Evaluator::new(&mut engine);
@@ -1055,7 +747,7 @@ mod tests {
         // Fabric caches are a separate family keyed by FabricPoint.
         let _ = ctx.fabric_cache(SubsystemId::F);
         assert_eq!(ctx.totals(), CacheTotals::default());
-        f.fulfill(SearchPoint::benign(), {
+        f.get_or_compute(&SearchPoint::benign(), || {
             let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
             engine.measure(&SearchPoint::benign())
         });
@@ -1075,9 +767,9 @@ mod tests {
         let cache = ctx.workload_cache(SubsystemId::F);
         let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
         let benign = SearchPoint::benign();
-        cache.fulfill(benign.clone(), engine.measure(&benign));
+        cache.get_or_compute(&benign, || engine.measure(&benign));
         let p = anomalous_point();
-        cache.fulfill(p.clone(), engine.measure(&p));
+        cache.get_or_compute(&p, || engine.measure(&p));
         assert_eq!(ctx.totals().evicted, 1);
         assert!(cache.peek(&benign).is_none());
     }

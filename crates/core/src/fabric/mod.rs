@@ -36,7 +36,7 @@ pub use campaign::{
 pub use mfs::{FabricExtractionOutcome, FabricMfs, FabricMfsExtractor, FabricSignature};
 
 use crate::engine::WorkloadEngine;
-use crate::eval::{EvalProfile, EvalStats, SharedCache, SharedUse, SpecWorker, SpeculationParts};
+use crate::eval::{EvalProfile, EvalStats, SharedCache, SharedUse};
 use crate::monitor::{AnomalyMonitor, Symptom};
 use crate::space::{FabricPoint, SearchPoint};
 use collie_rnic::fabric::{evaluate_fabric, FabricMeasurement};
@@ -76,16 +76,6 @@ impl FabricEngine {
         FabricEngine::new(WorkloadEngine::for_catalog(id))
     }
 
-    /// An independent engine over the same fabric configuration (see
-    /// [`WorkloadEngine::fork`]); the benign baseline is reused rather than
-    /// re-measured, which the determinism contract makes exact.
-    pub fn fork(&self) -> Self {
-        FabricEngine {
-            engine: self.engine.fork(),
-            baseline: self.baseline.clone(),
-        }
-    }
-
     /// The subsystem under test (every host of the fabric is a copy of its
     /// host configuration).
     pub fn subsystem(&self) -> &Subsystem {
@@ -98,7 +88,7 @@ impl FabricEngine {
     }
 
     /// Toggle incremental evaluation on the wrapped two-host engine (see
-    /// [`WorkloadEngine::set_incremental`]). Forks inherit the mode.
+    /// [`WorkloadEngine::set_incremental`]).
     pub fn set_incremental(&mut self, enabled: bool) {
         self.engine.set_incremental(enabled);
     }
@@ -187,10 +177,10 @@ pub fn assess_fabric(monitor: &AnomalyMonitor, fm: &FabricMeasurement) -> Fabric
 /// A memoizing wrapper around one fabric engine (the fabric counterpart of
 /// [`Evaluator`](crate::eval::Evaluator); same cost-accounting split: the
 /// campaign keeps charging simulated hardware time per measurement whether
-/// or not it hit the cache). With speculation enabled
-/// ([`FabricEvaluator::speculation`]) a local miss first consults the
-/// worker-filled [`SharedCache`]; stats are counted off the local cache
-/// alone, so they are bit-identical either way.
+/// or not it hit the cache). With a [`SharedCache`] attached
+/// ([`FabricEvaluator::attach_shared`]) a local miss first consults it;
+/// stats are counted off the local cache alone, so they are bit-identical
+/// either way.
 #[derive(Debug)]
 pub struct FabricEvaluator<'e> {
     engine: &'e mut FabricEngine,
@@ -200,16 +190,6 @@ pub struct FabricEvaluator<'e> {
     stats: EvalStats,
     shared_use: SharedUse,
     compute_nanos: Vec<u64>,
-}
-
-struct ForkedFabricWorker {
-    engine: FabricEngine,
-}
-
-impl SpecWorker<FabricPoint, FabricMeasurement> for ForkedFabricWorker {
-    fn compute(&mut self, point: &FabricPoint) -> FabricMeasurement {
-        self.engine.measure(point)
-    }
 }
 
 impl<'e> FabricEvaluator<'e> {
@@ -314,34 +294,6 @@ impl<'e> FabricEvaluator<'e> {
         }
         let verdict = assess_fabric(monitor, &measurement);
         (measurement, verdict)
-    }
-
-    /// Prepare shared-cache speculation (see
-    /// [`Evaluator::speculation`](crate::eval::Evaluator::speculation)):
-    /// `None` when memoization is off or no workers were requested.
-    pub fn speculation(
-        &mut self,
-        workers: usize,
-    ) -> Option<SpeculationParts<FabricPoint, FabricMeasurement>> {
-        if !self.memoize || workers == 0 {
-            return None;
-        }
-        // Reuse an attached matrix-scoped cache so speculation workers
-        // publish where sibling cells can read; otherwise (every campaign
-        // runner) the cache is private to this campaign.
-        let shared = match &self.shared {
-            Some(shared) => Arc::clone(shared),
-            None => Arc::new(SharedCache::new()),
-        };
-        self.shared = Some(Arc::clone(&shared));
-        let workers = (0..workers)
-            .map(|_| {
-                Box::new(ForkedFabricWorker {
-                    engine: self.engine.fork(),
-                }) as Box<dyn SpecWorker<FabricPoint, FabricMeasurement>>
-            })
-            .collect();
-        Some(SpeculationParts { shared, workers })
     }
 
     /// The subsystem under test.
@@ -516,53 +468,11 @@ mod tests {
     }
 
     #[test]
-    fn forked_fabric_engines_measure_identically() {
-        let mut engine = FabricEngine::for_catalog(SubsystemId::F);
-        let mut fork = engine.fork();
-        let p = cross_host_culprit();
-        let _ = fork.measure(&storming_culprit());
-        assert_eq!(engine.measure(&p), fork.measure(&p));
-        assert_eq!(engine.baseline(), fork.baseline());
-    }
-
-    #[test]
-    fn fabric_speculation_workers_fill_the_shared_cache() {
-        let mut engine = FabricEngine::for_catalog(SubsystemId::F);
-        let mut reference = FabricEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = FabricEvaluator::new(&mut engine);
-        let parts = evaluator.speculation(1).expect("memoized evaluator");
-        let p = cross_host_culprit();
-        let mut workers = parts.workers;
-        let m = workers[0].compute(&p);
-        assert_eq!(m, reference.measure(&p));
-        parts.shared.fulfill(p.clone(), m);
-        assert_eq!(evaluator.measure(&p), reference.measure(&p));
-        assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 1 });
-        assert_eq!(parts.shared.computed_count(), 1);
-
-        let mut uncached = FabricEvaluator::uncached(&mut reference);
-        assert!(uncached.speculation(2).is_none());
-    }
-
-    #[test]
-    fn fabric_speculation_reuses_an_attached_shared_cache() {
-        let shared: Arc<SharedCache<FabricPoint, FabricMeasurement>> = Arc::new(SharedCache::new());
-        let mut engine = FabricEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = FabricEvaluator::new(&mut engine);
-        evaluator.attach_shared(Arc::clone(&shared));
-        let parts = evaluator.speculation(1).expect("memoized evaluator");
-        assert!(
-            Arc::ptr_eq(&parts.shared, &shared),
-            "speculation workers must publish into the matrix-scoped cache"
-        );
-    }
-
-    #[test]
     fn attached_fabric_cache_tracks_shared_use_without_touching_stats() {
         let shared: Arc<SharedCache<FabricPoint, FabricMeasurement>> = Arc::new(SharedCache::new());
         let mut reference = FabricEngine::for_catalog(SubsystemId::F);
         let p = cross_host_culprit();
-        shared.fulfill(p.clone(), reference.measure(&p));
+        shared.get_or_compute(&p, || reference.measure(&p));
 
         let mut engine = FabricEngine::for_catalog(SubsystemId::F);
         let mut evaluator = FabricEvaluator::new(&mut engine);

@@ -304,19 +304,6 @@ impl SearchDomain for WorkloadDomain<'_, '_> {
         self.evaluator.stats()
     }
 
-    fn speculation(
-        &mut self,
-        workers: usize,
-    ) -> Option<crate::eval::SpeculationParts<SearchPoint, Self::Measurement>> {
-        self.evaluator.speculation(workers)
-    }
-
-    fn judge(&self, measurement: &Self::Measurement) -> Option<Symptom> {
-        self.monitor
-            .assess(measurement, &self.evaluator.subsystem().rnic)
-            .symptom
-    }
-
     fn traced_counter(&self) -> &'static str {
         self.signal.traced_counter()
     }

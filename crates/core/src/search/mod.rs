@@ -103,7 +103,7 @@ pub struct SearchConfig {
     /// cache divergence can never hide behind the default. Tests that
     /// assert cache *statistics* must pin the toggle with
     /// [`SearchConfig::with_memoization`]. Like
-    /// [`SearchConfig::speculation`], the knob is an execution detail
+    /// [`SearchConfig::incremental`], the knob is an execution detail
     /// excluded from serialization, so it cannot leak into golden
     /// fixtures; deserialized configs fall back to the uncached path,
     /// which is always correct.
@@ -136,27 +136,13 @@ pub struct SearchConfig {
     /// pre-kernel two-host containment-only dedup for the golden-trace
     /// compatibility grids.
     pub identity_dedup: bool,
-    /// Speculative lookahead depth: `Some(k)` lets the campaign pre-draw up
-    /// to `k` likely-next proposals from a forked RNG and evaluate them on
-    /// worker threads through a shared memo cache, committing results
-    /// strictly in serial stream order (DESIGN.md §9). `None` runs the
-    /// classic serial loop. Speculation is an execution strategy, not a
-    /// search strategy: the campaign output is bit-identical either way, so
-    /// the knob is excluded from serialization and cannot leak into golden
-    /// fixtures.
-    ///
-    /// Defaults to `None`; the `COLLIE_SPECULATION` environment variable
-    /// sets the constructor default (a depth such as `4`, or `on` for the
-    /// default depth) so CI can run the whole suite speculatively.
-    #[serde(skip)]
-    pub speculation: Option<usize>,
     /// Whether the engine's incremental evaluation path is enabled: the
     /// subsystem caches per-flow rule reports and per-direction fluid
     /// outcomes so a one-knob mutation recomputes only the stages the
     /// changed flow feeds (DESIGN.md §11). Purely an execution strategy —
     /// cached stage results are bit-identical to recomputed ones, so the
     /// campaign output is byte-for-byte the same either way — hence, like
-    /// [`SearchConfig::speculation`], the knob is excluded from
+    /// [`SearchConfig::memoize`], the knob is excluded from
     /// serialization and cannot leak into golden fixtures.
     ///
     /// Defaults to on; the `COLLIE_INCREMENTAL` environment variable
@@ -184,7 +170,6 @@ impl SearchConfig {
             iterations_per_temperature: 8,
             stuck_skip_limit: Some(24),
             identity_dedup: true,
-            speculation: SearchConfig::default_speculation(),
             incremental: SearchConfig::default_incremental(),
         }
     }
@@ -244,13 +229,6 @@ impl SearchConfig {
         self
     }
 
-    /// Set the speculative lookahead depth (`None` keeps the serial loop;
-    /// see [`SearchConfig::speculation`]).
-    pub fn with_speculation(mut self, speculation: Option<usize>) -> SearchConfig {
-        self.speculation = speculation;
-        self
-    }
-
     /// Enable or disable the engine's incremental evaluation path (see
     /// [`SearchConfig::incremental`]). Tests that assert stage-reuse
     /// counters must pin the toggle here rather than rely on the
@@ -298,14 +276,6 @@ impl SearchConfig {
     /// once.
     pub fn default_memoize() -> bool {
         crate::env::memoize()
-    }
-
-    /// The constructor default for [`SearchConfig::speculation`]: `None`
-    /// (serial), unless the `COLLIE_SPECULATION` environment variable
-    /// enables a lookahead depth so CI can run the whole suite
-    /// speculatively. A thin wrapper over the [`crate::env`] registry.
-    pub fn default_speculation() -> Option<usize> {
-        crate::env::speculation()
     }
 
     /// The constructor default for [`SearchConfig::incremental`]: on,
@@ -358,9 +328,6 @@ pub fn run_search_in_context(
     let outcome = {
         let domain = WorkloadDomain::new(&mut evaluator, &monitor, space, config.signal);
         let mut campaign = CampaignLoop::new(domain, config);
-        if let Some(lookahead) = config.speculation {
-            campaign.enable_speculation(lookahead);
-        }
         match config.strategy {
             SearchStrategy::Random => kernel::run_random(&mut campaign),
             SearchStrategy::Bayesian => kernel::run_bayesian(&mut campaign),
@@ -484,10 +451,6 @@ mod tests {
         // same process environment must produce the same answers).
         assert_eq!(SearchConfig::default_memoize(), crate::env::memoize());
         assert_eq!(
-            SearchConfig::default_speculation(),
-            crate::env::speculation()
-        );
-        assert_eq!(
             SearchConfig::default_incremental(),
             crate::env::incremental()
         );
@@ -495,7 +458,7 @@ mod tests {
 
     #[test]
     fn memoize_knob_never_serializes_into_fixtures() {
-        // Like speculation and incremental, memoization is an execution
+        // Like incremental evaluation, memoization is an execution
         // detail: a recorded golden fixture must not change because the
         // recording host had COLLIE_MEMOIZE set, and deserialized configs
         // fall back to the always-correct uncached path.
@@ -524,7 +487,6 @@ mod tests {
             }
             .with_budget(SimDuration::from_secs(3600))
             .with_memoization(true)
-            .with_speculation(None)
             .with_incremental(false);
             let mut scratch_engine = WorkloadEngine::for_catalog(SubsystemId::F);
             let scratch = run_search_with_stats(&mut scratch_engine, &space, &config);
@@ -544,7 +506,7 @@ mod tests {
 
     #[test]
     fn incremental_knob_never_serializes_into_fixtures() {
-        // Same rationale as the speculation knob: an execution detail must
+        // Same rationale as the memoize knob: an execution detail must
         // not change a recorded fixture, and deserialized configs fall
         // back to the from-scratch path.
         let config = SearchConfig::collie(1).with_incremental(true);
@@ -555,51 +517,6 @@ mod tests {
         );
         let back: SearchConfig = serde_json::from_str(&json).unwrap();
         assert!(!back.incremental);
-    }
-
-    #[test]
-    fn speculation_knob_does_not_change_the_outcome_or_the_stats() {
-        // The facade-level statement of the tentpole contract: the public
-        // entry point produces byte-identical outcomes and evaluator
-        // statistics with the knob on or off.
-        let space = SearchSpace::for_host(&SubsystemId::F.host());
-        for strategy in [
-            SearchStrategy::Random,
-            SearchStrategy::SimulatedAnnealing,
-            SearchStrategy::Bayesian,
-        ] {
-            let config = SearchConfig {
-                strategy,
-                ..SearchConfig::collie(17)
-            }
-            .with_budget(SimDuration::from_secs(3600))
-            .with_memoization(true)
-            .with_speculation(None);
-            let mut serial_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-            let serial = run_search_with_stats(&mut serial_engine, &space, &config);
-            let mut spec_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-            let speculative = run_search_with_stats(
-                &mut spec_engine,
-                &space,
-                &config.clone().with_speculation(Some(3)),
-            );
-            assert_eq!(serial, speculative, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn speculation_knob_never_serializes_into_fixtures() {
-        // The knob is an execution detail; a recorded golden fixture must
-        // not change because the recording host had COLLIE_SPECULATION
-        // set, and deserialized configs must fall back to serial.
-        let config = SearchConfig::collie(1).with_speculation(Some(8));
-        let json = serde_json::to_string(&config).unwrap();
-        assert!(
-            !json.contains("speculation"),
-            "knob leaked into JSON: {json}"
-        );
-        let back: SearchConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.speculation, None);
     }
 
     #[test]

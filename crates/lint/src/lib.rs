@@ -12,8 +12,8 @@
 //!   in the README;
 //! * **serde-skip** — execution-detail knobs never serialize into
 //!   fixtures;
-//! * **rng-clone** — campaign RNG state only forks in annotated
-//!   speculation-planner regions;
+//! * **rng-clone** — campaign RNG state is never cloned in a
+//!   deterministic crate; an exception needs an annotated reason;
 //! * **counter-name** — counter literals match the canonical registry;
 //! * **forbid-unsafe** — every crate root forbids `unsafe`;
 //! * **fixture-drift** — golden fixtures on disk and the tests that

@@ -49,9 +49,8 @@ pub const RULES: [RuleInfo; 8] = [
     },
     RuleInfo {
         name: "rng-clone",
-        doc: "campaign RNG state may only be cloned inside annotated \
-              speculation-planner regions (the committed stream must never \
-              fork silently)",
+        doc: "campaign RNG state is never cloned in a deterministic crate; \
+              an exception needs an annotated reason",
     },
     RuleInfo {
         name: "counter-name",
@@ -93,8 +92,9 @@ pub const DETERMINISTIC_PREFIXES: [&str; 5] = [
 ];
 
 /// The execution-detail knobs that must never serialize (rule
-/// `serde-skip`); kept in sync with `collie_core::env::HOOKS` by the
-/// registry test there.
+/// `serde-skip`). `speculation` names a knob that no longer exists; it
+/// stays listed so a reintroduced field of that name still needs
+/// `#[serde(skip)]`.
 pub const EXEC_DETAIL_FIELDS: [&str; 3] = ["memoize", "speculation", "incremental"];
 
 /// One rule hit before suppression filtering.
@@ -405,7 +405,8 @@ fn check_struct_fields(
     }
 }
 
-/// D4: campaign RNG clones only in annotated speculation-planner regions.
+/// D4: campaign RNG state is never cloned in a deterministic crate; an
+/// exception needs an annotated reason.
 fn check_rng_clone(rel: &str, code: &[&Token], out: &mut Vec<Candidate>) {
     if !deterministic_scope(rel) {
         return;
@@ -422,9 +423,8 @@ fn check_rng_clone(rel: &str, code: &[&Token], out: &mut Vec<Candidate>) {
                 "rng-clone",
                 token,
                 format!(
-                    "`{}.clone()` forks campaign RNG state; only annotated \
-                     speculation-planner regions may do this (the committed stream \
-                     must stay serial-order identical)",
+                    "`{}.clone()` forks campaign RNG state, which is never cloned \
+                     in a deterministic crate; an exception needs an annotated reason",
                     token.text
                 ),
             ));

@@ -45,7 +45,7 @@ fn the_head_scan_exercises_the_interesting_paths() {
         "only {} files scanned",
         report.files_scanned
     );
-    // The annotated profiling/speculation sites are actually being
+    // The annotated wall-clock and counter-name sites are actually being
     // suppressed (if this drops to 0 the annotations stopped matching and
     // the clean run above is vacuous).
     assert!(

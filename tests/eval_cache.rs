@@ -58,33 +58,6 @@ fn memoized_campaign_is_bit_identical_to_the_uncached_path() {
     );
 }
 
-/// The PR 6 extension of the same guarantee: routing the memoized
-/// evaluator through the sharded concurrent cache (the speculation tier)
-/// changes neither the outcome nor the evaluator's statistics. The local
-/// per-evaluator cache stays authoritative for hit/miss accounting, so the
-/// shared tier is invisible at the semantics level even while worker
-/// threads fill it concurrently.
-#[test]
-fn speculative_campaign_matches_the_serial_memoized_path() {
-    let (serial, serial_stats, _) = campaign(true);
-    for lookahead in [2usize, 8] {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let space = SearchSpace::for_host(&SubsystemId::F.host());
-        let config = SearchConfig::collie(17)
-            .with_budget(SimDuration::from_secs(2 * 3600))
-            .with_memoization(true)
-            .with_speculation(Some(lookahead));
-        let (speculative, spec_stats) =
-            collie::core::search::run_search_with_stats(&mut engine, &space, &config);
-        assert_eq!(serial, speculative, "lookahead {lookahead}");
-        assert_eq!(
-            serial_stats, spec_stats,
-            "the sharded shared cache leaked into the evaluator statistics \
-             (lookahead {lookahead})"
-        );
-    }
-}
-
 #[test]
 fn memoization_is_on_by_default_for_paper_configs() {
     // The constructor default honours the COLLIE_MEMOIZE override CI uses

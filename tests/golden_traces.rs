@@ -341,13 +341,10 @@ fn golden_fig7_bayesian_fabric_cells_are_pinned() {
     record_or_compare("golden_fig7_bo.json", &golden, true);
 }
 
-/// The same cells with an explicit execution mode: memoization pinned and
-/// a speculative lookahead selected (or `None` for the serial loop).
-fn with_execution(
-    cells: &[CampaignSpec],
-    memoize: bool,
-    speculation: Option<usize>,
-) -> Vec<CampaignSpec> {
+/// The same cells with memoization and the engine's incremental
+/// evaluation path pinned explicitly (rather than inherited from
+/// `COLLIE_MEMOIZE` / `COLLIE_INCREMENTAL`).
+fn with_execution(cells: &[CampaignSpec], memoize: bool, incremental: bool) -> Vec<CampaignSpec> {
     cells
         .iter()
         .cloned()
@@ -355,20 +352,7 @@ fn with_execution(
             config: cell
                 .config
                 .with_memoization(memoize)
-                .with_speculation(speculation),
-            ..cell
-        })
-        .collect()
-}
-
-/// The same cells with the engine's incremental evaluation path pinned
-/// explicitly (rather than inherited from `COLLIE_INCREMENTAL`).
-fn with_incremental(cells: &[CampaignSpec], incremental: bool) -> Vec<CampaignSpec> {
-    cells
-        .iter()
-        .cloned()
-        .map(|cell| CampaignSpec {
-            config: cell.config.with_incremental(incremental),
+                .with_incremental(incremental),
             ..cell
         })
         .collect()
@@ -398,112 +382,47 @@ fn assert_same_stream(name: &str, oracle: &str, replay: &str) {
     for (line_no, (want, got)) in oracle.lines().zip(replay.lines()).enumerate() {
         if want != got {
             panic!(
-                "{name}: speculative replay diverged from the serial oracle at line {}:\n  \
-                 serial:      {want}\n  speculative: {got}",
+                "{name}: replay diverged from the oracle at line {}:\n  \
+                 oracle: {want}\n  replay: {got}",
                 line_no + 1
             );
         }
     }
     panic!(
-        "{name}: speculative replay diverged from the serial oracle: line counts \
-         differ (serial {}, speculative {})",
+        "{name}: replay diverged from the oracle: line counts differ \
+         (oracle {}, replay {})",
         oracle.lines().count(),
         replay.lines().count()
     );
 }
 
 #[test]
-fn golden_grids_replay_bit_identically_under_speculation() {
-    // The tentpole's differential statement over every committed fixture
-    // grid: the serial rendering is the oracle (the fixture tests above
-    // pin it against the recorded files), and replaying the same grid
-    // speculatively — shallow and deep lookahead, memo cache on and off —
-    // must reproduce it byte for byte. With the cache off a campaign
-    // cannot share measurements across threads, so speculation falls back
-    // to the serial loop; the leg pins that the knob is safe under the
-    // COLLIE_MEMOIZE=0 CI matrix too.
-    let two_host_grids = [
-        ("golden_fig4.json", legacy(fig4_cells())),
-        ("golden_fig5.json", legacy(fig5_cells())),
-        ("golden_fig4_kernel.json", fig4_cells()),
-        ("golden_fig5_kernel.json", fig5_cells()),
-    ];
-    for (name, cells) in two_host_grids {
-        let oracle = render_two_host(&with_execution(&cells, true, None));
-        for lookahead in [2usize, 8] {
-            for memoize in [true, false] {
-                let replay = render_two_host(&with_execution(&cells, memoize, Some(lookahead)));
-                assert_same_stream(
-                    &format!("{name} (lookahead {lookahead}, memoize {memoize})"),
-                    &oracle,
-                    &replay,
-                );
-            }
-        }
-    }
-    let fabric_grids = [
-        ("golden_fig7.json", fig7_cells()),
-        ("golden_fig7_bo.json", fig7_bo_cells()),
-    ];
-    for (name, cells) in fabric_grids {
-        let oracle = render_fabric(&with_execution(&cells, true, None));
-        for lookahead in [2usize, 8] {
-            for memoize in [true, false] {
-                let replay = render_fabric(&with_execution(&cells, memoize, Some(lookahead)));
-                assert_same_stream(
-                    &format!("{name} (lookahead {lookahead}, memoize {memoize})"),
-                    &oracle,
-                    &replay,
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn golden_grids_are_incremental_independent() {
-    // The PR 8 tentpole's differential statement: the per-flow and
-    // per-direction delta caches are a pure execution optimisation, so a
-    // grid replayed with incremental evaluation on — alone or composed
-    // with memoization and speculative lookahead — must reproduce the
-    // from-scratch stream byte for byte. The oracle pins incremental
-    // *off* explicitly so the test is meaningful under both settings of
-    // the COLLIE_INCREMENTAL CI matrix; one second-generation grid per
-    // stack keeps the runtime in budget, and the full fixture set runs
-    // whichever mode the environment selects in the fixture tests above.
-    let compositions = [(true, None), (true, Some(4)), (false, Some(4))];
-
+    // The per-flow and per-direction delta caches are a pure execution
+    // optimisation, so a grid replayed with incremental evaluation on —
+    // with the memo cache on or off — must reproduce the from-scratch
+    // stream byte for byte. The oracle pins incremental *off* explicitly
+    // so the test is meaningful under both settings of the
+    // COLLIE_INCREMENTAL CI matrix; one second-generation grid per stack
+    // keeps the runtime in budget, and the full fixture set runs whichever
+    // mode the environment selects in the fixture tests above.
     let cells = fig4_cells();
-    let oracle = render_two_host(&with_incremental(
-        &with_execution(&cells, true, None),
-        false,
-    ));
-    for (memoize, speculation) in compositions {
-        let legs = with_incremental(&with_execution(&cells, memoize, speculation), true);
-        let replay = render_two_host(&legs);
+    let oracle = render_two_host(&with_execution(&cells, true, false));
+    for memoize in [true, false] {
+        let replay = render_two_host(&with_execution(&cells, memoize, true));
         assert_same_stream(
-            &format!(
-                "golden_fig4_kernel.json (incremental, memoize {memoize}, \
-                 speculation {speculation:?})"
-            ),
+            &format!("golden_fig4_kernel.json (incremental, memoize {memoize})"),
             &oracle,
             &replay,
         );
     }
 
     let cells = fig7_bo_cells();
-    let oracle = render_fabric(&with_incremental(
-        &with_execution(&cells, true, None),
-        false,
-    ));
-    for (memoize, speculation) in compositions {
-        let legs = with_incremental(&with_execution(&cells, memoize, speculation), true);
-        let replay = render_fabric(&legs);
+    let oracle = render_fabric(&with_execution(&cells, true, false));
+    for memoize in [true, false] {
+        let replay = render_fabric(&with_execution(&cells, memoize, true));
         assert_same_stream(
-            &format!(
-                "golden_fig7_bo.json (incremental, memoize {memoize}, \
-                 speculation {speculation:?})"
-            ),
+            &format!("golden_fig7_bo.json (incremental, memoize {memoize})"),
             &oracle,
             &replay,
         );

@@ -1,10 +1,9 @@
 //! Differential suite for incremental flow-model evaluation.
 //!
-//! The incremental contract (DESIGN.md §11) is the same shape as the
-//! speculation contract: the per-flow and per-direction delta caches are a
-//! pure execution optimisation, so a warm incremental engine walking a
-//! mutation chain must produce measurements *byte-identical* to a fresh
-//! engine evaluating each point from scratch. "Byte-identical" is asserted
+//! The incremental contract (DESIGN.md §11): the per-flow and
+//! per-direction delta caches are a pure execution optimisation, so a warm
+//! incremental engine walking a mutation chain must produce measurements
+//! *byte-identical* to a fresh engine evaluating each point from scratch. "Byte-identical" is asserted
 //! twice per step — structural equality of the `Measurement` (which
 //! compares every f64 exactly) and equality of the canonical JSON
 //! encoding, which additionally pins counter names, ordering, and the
