@@ -26,7 +26,8 @@ fn bench_eval_cache(c: &mut Criterion) {
     {
         let space = SearchSpace::for_host(&SubsystemId::F.host());
         let mut cached_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let (cached, stats) = run_search_with_stats(&mut cached_engine, &space, &config(true));
+        let (cached, profile) = run_search_with_stats(&mut cached_engine, &space, &config(true));
+        let stats = profile.stats;
         let mut uncached_engine = WorkloadEngine::for_catalog(SubsystemId::F);
         let uncached = run_search(&mut uncached_engine, &space, &config(false));
         assert_eq!(cached, uncached, "memoization changed the outcome");

@@ -6,7 +6,10 @@
 
 use collie_core::catalog::KnownAnomaly;
 use collie_core::engine::WorkloadEngine;
-use collie_core::monitor::{AnomalyMonitor, MfsExtractor};
+use collie_core::eval::Evaluator;
+use collie_core::monitor::AnomalyMonitor;
+use collie_core::search::kernel::MfsExtractor;
+use collie_core::search::{SignalMode, WorkloadDomain};
 use collie_core::space::{SearchPoint, SearchSpace};
 use collie_rnic::subsystems::SubsystemId;
 use collie_sim::rng::SimRng;
@@ -75,9 +78,10 @@ fn bench_mfs_extraction(c: &mut Criterion) {
             let monitor = AnomalyMonitor::new();
             let space = SearchSpace::for_host(&SubsystemId::F.host());
             let anomaly = KnownAnomaly::by_id(1).unwrap();
-            let mut evaluator = collie_core::eval::Evaluator::new(&mut engine);
-            let mut extractor = MfsExtractor::new(&mut evaluator, &monitor, &space);
-            black_box(extractor.extract(&anomaly.trigger, anomaly.symptom))
+            let mut evaluator = Evaluator::new(&mut engine);
+            let mut domain =
+                WorkloadDomain::new(&mut evaluator, &monitor, &space, SignalMode::Diagnostic);
+            black_box(MfsExtractor::new(&mut domain).extract(&anomaly.trigger, &anomaly.symptom))
         })
     });
 }

@@ -11,8 +11,8 @@
 #![forbid(unsafe_code)]
 
 use collie_bench::{
-    bench_report, default_workers, fmt_minutes, run_campaign_matrix_report, text_table,
-    CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
+    bench_report, default_workers, fmt_minutes, parse_flags_or_exit, run_campaign_matrix_report,
+    text_table, CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
 };
 use collie_core::catalog::KnownAnomaly;
 use collie_core::report::{time_to_find_rows, to_json};
@@ -21,6 +21,7 @@ use collie_rnic::subsystems::SubsystemId;
 use std::time::Instant;
 
 fn main() {
+    let json = parse_flags_or_exit("fig5", &["--json"]).contains(&"--json");
     let subsystem = SubsystemId::F;
     let max_anomalies = KnownAnomaly::for_subsystem(subsystem).len();
     let configs = [
@@ -111,7 +112,7 @@ fn main() {
     println!("JSON:\n{}", to_json(&all_rows));
     // --json: the machine-readable per-cell perf block (same schema as the
     // bench bin's BENCH_fig5.json): cache hit-rate and wall-clock per cell.
-    if std::env::args().any(|arg| arg == "--json") {
+    if json {
         println!(
             "BENCH JSON:\n{}",
             serde_json::to_string_pretty(&bench).unwrap_or_else(|_| "{}".to_string())

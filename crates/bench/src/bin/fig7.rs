@@ -10,8 +10,8 @@
 #![forbid(unsafe_code)]
 
 use collie_bench::{
-    bench_report, default_workers, fmt_minutes, run_fabric_campaign_matrix_report, text_table,
-    CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
+    bench_report, default_workers, fmt_minutes, parse_flags_or_exit,
+    run_fabric_campaign_matrix_report, text_table, CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
 };
 use collie_core::report::{to_json, FabricGridRow};
 use collie_core::search::SearchConfig;
@@ -19,6 +19,7 @@ use collie_rnic::subsystems::SubsystemId;
 use std::time::Instant;
 
 fn main() {
+    let json = parse_flags_or_exit("fig7", &["--json"]).contains(&"--json");
     let subsystem = SubsystemId::F;
     let configs = [
         ("Random", SearchConfig::random(0)),
@@ -90,7 +91,7 @@ fn main() {
     println!("JSON:\n{}", to_json(&rows));
     // --json: the machine-readable per-cell perf block (same schema as the
     // bench bin's BENCH_fig7.json): cache hit-rate and wall-clock per cell.
-    if std::env::args().any(|arg| arg == "--json") {
+    if json {
         println!(
             "BENCH JSON:\n{}",
             serde_json::to_string_pretty(&bench).unwrap_or_else(|_| "{}".to_string())

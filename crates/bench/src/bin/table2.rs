@@ -15,12 +15,14 @@
 //! evaluator.
 #![forbid(unsafe_code)]
 
-use collie_bench::{default_workers, parallel_map, text_table};
+use collie_bench::{default_workers, parallel_map, parse_flags_or_exit, text_table};
 use collie_core::catalog::KnownAnomaly;
 use collie_core::engine::WorkloadEngine;
 use collie_core::eval::Evaluator;
-use collie_core::monitor::{AnomalyMonitor, FeatureCondition, MfsExtractor};
+use collie_core::monitor::{AnomalyMonitor, FeatureCondition};
 use collie_core::report::Table2Row;
+use collie_core::search::kernel::MfsExtractor;
+use collie_core::search::{SignalMode, WorkloadDomain};
 use collie_core::space::{FeatureValue, SearchSpace};
 
 fn replay(anomaly: &KnownAnomaly) -> Table2Row {
@@ -39,8 +41,10 @@ fn replay(anomaly: &KnownAnomaly) -> Table2Row {
     let mut break_verified = false;
     if let Some(symptom) = verdict.symptom {
         let outcome = {
-            let mut extractor = MfsExtractor::new(&mut evaluator, &monitor, &space);
-            extractor.extract(&anomaly.trigger, symptom)
+            // The signal mode steers campaigns only; extraction ignores it.
+            let mut domain =
+                WorkloadDomain::new(&mut evaluator, &monitor, &space, SignalMode::Diagnostic);
+            MfsExtractor::new(&mut domain).extract(&anomaly.trigger, &symptom)
         };
         'conditions: for (feature, condition) in outcome.mfs.conditions.iter() {
             let numeric = |pick_min: bool| {
@@ -89,6 +93,7 @@ fn replay(anomaly: &KnownAnomaly) -> Table2Row {
 }
 
 fn main() {
+    parse_flags_or_exit("table2", &[]);
     println!(
         "Search space size (nominal bounds of §4/§5): ~1e{:.0} points\n",
         SearchSpace::for_host(&collie_rnic::subsystems::SubsystemId::F.host())

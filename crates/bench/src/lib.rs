@@ -19,11 +19,11 @@ pub use report::{latency_summary, validate_bench_report, BenchCache, BenchCell, 
 
 use collie_core::engine::WorkloadEngine;
 use collie_core::eval::{EvalProfile, EvalStats};
-use collie_core::fabric::{run_fabric_search_in_context, FabricEngine, FabricOutcome};
+use collie_core::fabric::{run_fabric_search_with_stats, FabricEngine, FabricOutcome};
 use collie_core::remedy::{
     DiscoveredTrigger, QualificationRecord, Qualifier, RegressionCatalog, RegressionFlag,
 };
-use collie_core::search::{run_search_in_context, SearchConfig, SearchOutcome};
+use collie_core::search::{run_search_with_stats, SearchConfig, SearchOutcome};
 use collie_core::space::{FabricSpace, SearchSpace};
 use collie_rnic::subsystem::IncrementalUse;
 use collie_rnic::subsystems::SubsystemId;
@@ -260,46 +260,59 @@ fn qualification_phase(
     }
 }
 
-/// One finished cell from its campaign outcome, evaluation profile and
-/// start time.
-fn matrix_cell<O>(outcome: O, profile: EvalProfile, started: Instant) -> MatrixCell<O> {
-    MatrixCell {
-        outcome,
-        stats: profile.stats,
-        wall_secs: started.elapsed().as_secs_f64(),
-        compute_nanos: profile.compute_nanos,
-        incremental: profile.incremental,
-    }
-}
-
-/// Run every cell of a campaign matrix on a [`MatrixOptions::workers`]-wide
-/// pool, reporting per-cell perf alongside the outcomes. Each cell owns a
-/// fresh engine and evaluates through its own memo cache only, so a cell's
-/// outcome and stats equal a standalone
-/// [`run_search_with_stats`](collie_core::search::run_search_with_stats)
-/// of the same configuration.
-pub fn run_campaign_matrix_report(
+/// The one matrix runner behind both domains: build each cell's engine and
+/// space with `setup`, time `run` over them on the worker pool, then run
+/// the qualification phase over the discoveries `triggers` reads back.
+fn matrix_report<E, S, O: Send>(
     specs: &[CampaignSpec],
     options: &MatrixOptions,
-) -> MatrixReport<SearchOutcome> {
+    setup: impl Fn(SubsystemId) -> (E, S) + Sync,
+    run: impl Fn(&mut E, &S, &SearchConfig) -> (O, EvalProfile) + Sync,
+    triggers: impl Fn(&O) -> Vec<DiscoveredTrigger>,
+) -> MatrixReport<O> {
     let cells = parallel_map(specs, options.workers, |cell| {
-        let mut engine = WorkloadEngine::for_catalog(cell.subsystem);
-        let space = SearchSpace::for_host(&cell.subsystem.host());
+        let (mut engine, space) = setup(cell.subsystem);
         let started = Instant::now();
-        let (outcome, profile) = run_search_in_context(&mut engine, &space, &cell.config);
-        matrix_cell(outcome, profile, started)
+        let (outcome, profile) = run(&mut engine, &space, &cell.config);
+        MatrixCell {
+            outcome,
+            stats: profile.stats,
+            wall_secs: started.elapsed().as_secs_f64(),
+            compute_nanos: profile.compute_nanos,
+            incremental: profile.incremental,
+        }
     });
     let qualification = options.qualify.then(|| {
-        let triggers = cells
-            .iter()
-            .map(|cell| cell.outcome.discovered_triggers())
-            .collect();
+        let triggers = cells.iter().map(|cell| triggers(&cell.outcome)).collect();
         qualification_phase(specs, triggers, options)
     });
     MatrixReport {
         cells,
         qualification,
     }
+}
+
+/// Run every cell of a campaign matrix on a [`MatrixOptions::workers`]-wide
+/// pool, reporting per-cell perf alongside the outcomes. Each cell owns a
+/// fresh engine and evaluates through its own memo cache only, so a cell's
+/// outcome and stats equal a standalone [`run_search_with_stats`] of the
+/// same configuration.
+pub fn run_campaign_matrix_report(
+    specs: &[CampaignSpec],
+    options: &MatrixOptions,
+) -> MatrixReport<SearchOutcome> {
+    matrix_report(
+        specs,
+        options,
+        |id| {
+            (
+                WorkloadEngine::for_catalog(id),
+                SearchSpace::for_host(&id.host()),
+            )
+        },
+        run_search_with_stats,
+        SearchOutcome::discovered_triggers,
+    )
 }
 
 /// The fabric counterpart of [`run_campaign_matrix_report`]. The
@@ -310,24 +323,18 @@ pub fn run_fabric_campaign_matrix_report(
     specs: &[CampaignSpec],
     options: &MatrixOptions,
 ) -> MatrixReport<FabricOutcome> {
-    let cells = parallel_map(specs, options.workers, |cell| {
-        let mut engine = FabricEngine::for_catalog(cell.subsystem);
-        let space = FabricSpace::for_host(&cell.subsystem.host());
-        let started = Instant::now();
-        let (outcome, profile) = run_fabric_search_in_context(&mut engine, &space, &cell.config);
-        matrix_cell(outcome, profile, started)
-    });
-    let qualification = options.qualify.then(|| {
-        let triggers = cells
-            .iter()
-            .map(|cell| cell.outcome.discovered_triggers())
-            .collect();
-        qualification_phase(specs, triggers, options)
-    });
-    MatrixReport {
-        cells,
-        qualification,
-    }
+    matrix_report(
+        specs,
+        options,
+        |id| {
+            (
+                FabricEngine::for_catalog(id),
+                FabricSpace::for_host(&id.host()),
+            )
+        },
+        run_fabric_search_with_stats,
+        FabricOutcome::discovered_triggers,
+    )
 }
 
 /// Run every cell of a campaign matrix on a bounded worker pool, returning
@@ -402,6 +409,41 @@ pub fn run_seeded_campaigns(
         .into_iter()
         .map(|(outcome, _)| outcome)
         .collect()
+}
+
+/// Check an evaluation bin's arguments (program name excluded) against the
+/// flags it accepts: `Ok` holds the flags given, `Err` names the first
+/// argument that is not one of them.
+pub fn parse_flags(
+    args: &[String],
+    accepted: &[&'static str],
+) -> Result<Vec<&'static str>, String> {
+    args.iter()
+        .map(|arg| {
+            accepted
+                .iter()
+                .find(|flag| *flag == arg)
+                .copied()
+                .ok_or_else(|| format!("unknown argument {arg}"))
+        })
+        .collect()
+}
+
+/// The usage line of an evaluation bin that accepts `accepted`.
+fn usage(bin: &str, accepted: &[&str]) -> String {
+    let flags: String = accepted.iter().map(|flag| format!(" [{flag}]")).collect();
+    format!("usage: {bin}{flags}")
+}
+
+/// [`parse_flags`] over the process arguments. On a usage error, print it
+/// with the usage line to stderr and exit 2 — before the bin runs anything,
+/// so a typo such as `--jsn` cannot silently drop the output it asked for.
+pub fn parse_flags_or_exit(bin: &str, accepted: &[&'static str]) -> Vec<&'static str> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_flags(&args, accepted).unwrap_or_else(|message| {
+        eprintln!("{bin}: {message}\n{}", usage(bin, accepted));
+        std::process::exit(2)
+    })
 }
 
 /// Render rows of `(label, cells)` as an aligned text table. Rows may carry
@@ -536,7 +578,8 @@ mod tests {
             .map(|cell| {
                 let mut engine = WorkloadEngine::for_catalog(cell.subsystem);
                 let space = SearchSpace::for_host(&cell.subsystem.host());
-                collie_core::search::run_search_with_stats(&mut engine, &space, &cell.config)
+                let (outcome, profile) = run_search_with_stats(&mut engine, &space, &cell.config);
+                (outcome, profile.stats)
             })
             .collect();
         for workers in [1, 2] {
@@ -544,6 +587,23 @@ mod tests {
             assert_eq!(matrix, solo, "{workers} worker(s)");
         }
         assert!(solo.iter().all(|(_, stats)| stats.misses > 0));
+    }
+
+    #[test]
+    fn bin_flags_accept_only_what_the_bin_declares() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_flags(&args(&[]), &["--json"]), Ok(vec![]));
+        assert_eq!(
+            parse_flags(&args(&["--json"]), &["--json"]),
+            Ok(vec!["--json"])
+        );
+        // A typo is an error, not a silently ignored flag.
+        let error = parse_flags(&args(&["--json", "--jsn"]), &["--json"]).unwrap_err();
+        assert!(error.contains("--jsn"), "{error}");
+        // Bins without flags reject everything, `--json` included.
+        assert!(parse_flags(&args(&["--json"]), &[]).is_err());
+        assert_eq!(usage("fig4", &["--json"]), "usage: fig4 [--json]");
+        assert_eq!(usage("table1", &[]), "usage: table1");
     }
 
     #[test]
@@ -651,7 +711,9 @@ mod tests {
             .map(|cell| {
                 let mut engine = FabricEngine::for_catalog(cell.subsystem);
                 let space = FabricSpace::for_host(&cell.subsystem.host());
-                collie_core::fabric::run_fabric_search_with_stats(&mut engine, &space, &cell.config)
+                let (outcome, profile) =
+                    run_fabric_search_with_stats(&mut engine, &space, &cell.config);
+                (outcome, profile.stats)
             })
             .collect();
         for workers in [1, 2] {

@@ -19,7 +19,12 @@
 //! takes 20–60 s depending mostly on how many QPs and MRs must be set up
 //! (§5). Search campaigns charge that cost per experiment so that the
 //! "running time" axes of Figures 4–6 are reproduced in simulated hours.
+//!
+//! [`Engine`] is what the memoizing [`Evaluator`](crate::eval::Evaluator)
+//! needs from any experiment engine; [`WorkloadEngine`] and the fabric
+//! [`FabricEngine`](crate::fabric::FabricEngine) implement it.
 
+use crate::monitor::{AnomalyMonitor, AnomalyVerdict};
 use crate::space::SearchPoint;
 use collie_host::memory::MemoryTarget;
 use collie_rnic::bottleneck::{evaluate_rules, FlowContext};
@@ -31,6 +36,35 @@ use collie_sim::units::ByteSize;
 use collie_verbs::{
     AccessFlags, CompletionQueue, Fabric, Mtu, QpCaps, QueuePair, SendWr, Sge, VerbsError, WrOpcode,
 };
+use std::hash::Hash;
+
+/// One kind of experiment engine, as the memoizing
+/// [`Evaluator`](crate::eval::Evaluator) sees it: run a point, judge the
+/// measurement, and expose the subsystem and the ground-truth oracle.
+///
+/// **Determinism contract:** for a fixed subsystem configuration
+/// `measure` is a pure function of the point. That is what lets the
+/// evaluator substitute a cached measurement for a recompute; anything
+/// that makes `measure` stateful must invalidate that cache.
+pub trait Engine {
+    /// One experiment description. `Eq + Hash` because points key the
+    /// evaluator's memo cache.
+    type Point: Clone + Eq + Hash;
+    /// What one experiment observes.
+    type Measurement: Clone;
+    /// The anomaly monitor's judgement of one measurement.
+    type Verdict;
+
+    /// Run one experiment.
+    fn measure(&mut self, point: &Self::Point) -> Self::Measurement;
+    /// Apply the §5.2 anomaly conditions to one measurement.
+    fn assess(&self, monitor: &AnomalyMonitor, measurement: &Self::Measurement) -> Self::Verdict;
+    /// The subsystem under test.
+    fn subsystem(&self) -> &Subsystem;
+    /// Ground-truth oracle: the catalogued rules the point triggers
+    /// (scoring only; the search never sees it).
+    fn ground_truth(&self, point: &Self::Point) -> Vec<&'static str>;
+}
 
 /// Sets up and runs experiments on one subsystem.
 #[derive(Debug)]
@@ -145,12 +179,9 @@ impl WorkloadEngine {
 
     /// Run one experiment for the point and return the measurement.
     ///
-    /// **Determinism contract:** for a fixed subsystem configuration this is
-    /// a pure function of `point` — `Subsystem::evaluate` resets all counter
-    /// and switch state on entry — which is what allows
-    /// [`Evaluator`](crate::eval::Evaluator) to substitute a cached
-    /// measurement for a recompute. Anything that makes `measure` stateful
-    /// (e.g. history-dependent counters) must invalidate that cache.
+    /// **Determinism contract** (see [`Engine`]): for a fixed subsystem
+    /// configuration this is a pure function of `point` —
+    /// `Subsystem::evaluate` resets all counter and switch state on entry.
     pub fn measure(&mut self, point: &SearchPoint) -> Measurement {
         let workload = self.translate(point);
         self.subsystem.evaluate(&workload)
@@ -316,6 +347,28 @@ impl WorkloadEngine {
             refs.push(b);
         }
         fabric.run(&mut refs)
+    }
+}
+
+impl Engine for WorkloadEngine {
+    type Point = SearchPoint;
+    type Measurement = Measurement;
+    type Verdict = AnomalyVerdict;
+
+    fn measure(&mut self, point: &SearchPoint) -> Measurement {
+        WorkloadEngine::measure(self, point)
+    }
+
+    fn assess(&self, monitor: &AnomalyMonitor, measurement: &Measurement) -> AnomalyVerdict {
+        monitor.assess(measurement, &self.subsystem.rnic)
+    }
+
+    fn subsystem(&self) -> &Subsystem {
+        &self.subsystem
+    }
+
+    fn ground_truth(&self, point: &SearchPoint) -> Vec<&'static str> {
+        WorkloadEngine::ground_truth(self, point)
     }
 }
 

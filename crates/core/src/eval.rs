@@ -9,17 +9,17 @@
 //! keeps charging them — each repeat still costs 20–60 simulated seconds, so
 //! Figures 4–6 are unchanged); in the simulator they are pure recompute.
 //!
-//! [`Evaluator`] wraps [`WorkloadEngine::measure`] with a memo cache keyed
-//! by the canonical [`SearchPoint`]. This is sound because the engine is
+//! [`Evaluator`] wraps any [`Engine`]'s `measure` with a memo cache keyed
+//! by the canonical point. This is sound because every engine is
 //! deterministic: [`Subsystem::evaluate`](collie_rnic::subsystem::Subsystem)
 //! resets all counter and switch state on entry, so a measurement is a pure
-//! function of the point (see the determinism test below and the contract
-//! note on [`WorkloadEngine::measure`]). Campaigns route every experiment —
-//! search, counter ranking, and MFS probing — through one shared evaluator,
-//! so an extraction's probes warm the cache for the next one.
+//! function of the point (see the determinism tests below and the contract
+//! on [`Engine`]). Campaigns route every experiment — search, counter
+//! ranking, and MFS probing — through one shared evaluator, so an
+//! extraction's probes warm the cache for the next one.
 
-use crate::engine::WorkloadEngine;
-use crate::monitor::{AnomalyMonitor, AnomalyVerdict};
+use crate::engine::{Engine, WorkloadEngine};
+use crate::monitor::AnomalyMonitor;
 use crate::space::{FabricPoint, SearchPoint};
 use collie_rnic::fabric::FabricMeasurement;
 use collie_rnic::subsystem::{IncrementalUse, Measurement, Subsystem};
@@ -322,10 +322,25 @@ impl Default for EvalContext {
     }
 }
 
-/// A memoizing wrapper around one engine.
+/// Run one flow-model compute and record its wall-clock latency.
+fn timed_measure<E: Engine>(
+    engine: &mut E,
+    nanos: &mut Vec<u64>,
+    point: &E::Point,
+) -> E::Measurement {
+    // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
+    let started = Instant::now();
+    let measurement = engine.measure(point);
+    nanos.push(started.elapsed().as_nanos() as u64);
+    measurement
+}
+
+/// A memoizing wrapper around one [`Engine`]: the one evaluator every
+/// domain measures through (the two-host [`WorkloadEngine`] by default,
+/// [`FabricEvaluator`](crate::fabric::FabricEvaluator) for the fabric).
 ///
 /// The evaluator does **not** do cost accounting: callers (the campaign,
-/// the extractor) keep charging [`WorkloadEngine::experiment_cost`] per
+/// the extractor) keep charging the domain's experiment cost per
 /// measurement whether or not it hit the cache, because on hardware the
 /// repeat would have to run. Memoization only skips the flow-model
 /// recompute.
@@ -335,19 +350,19 @@ impl Default for EvalContext {
 /// cache alone, so they are bit-identical whether or not another evaluator
 /// published the point first.
 #[derive(Debug)]
-pub struct Evaluator<'e> {
-    engine: &'e mut WorkloadEngine,
-    cache: HashMap<SearchPoint, Arc<Measurement>>,
-    shared: Option<Arc<SharedCache<SearchPoint, Measurement>>>,
+pub struct Evaluator<'e, E: Engine = WorkloadEngine> {
+    engine: &'e mut E,
+    cache: HashMap<E::Point, Arc<E::Measurement>>,
+    shared: Option<Arc<SharedCache<E::Point, E::Measurement>>>,
     memoize: bool,
     stats: EvalStats,
     shared_use: SharedUse,
     compute_nanos: Vec<u64>,
 }
 
-impl<'e> Evaluator<'e> {
+impl<'e, E: Engine> Evaluator<'e, E> {
     /// A memoizing evaluator over `engine`.
-    pub fn new(engine: &'e mut WorkloadEngine) -> Self {
+    pub fn new(engine: &'e mut E) -> Self {
         Evaluator {
             engine,
             cache: HashMap::new(),
@@ -361,7 +376,7 @@ impl<'e> Evaluator<'e> {
 
     /// An evaluator that always recomputes (the uncached reference path,
     /// used by the ablation bench and the bit-identity tests).
-    pub fn uncached(engine: &'e mut WorkloadEngine) -> Self {
+    pub fn uncached(engine: &'e mut E) -> Self {
         Evaluator {
             memoize: false,
             ..Evaluator::new(engine)
@@ -374,52 +389,41 @@ impl<'e> Evaluator<'e> {
     /// cache the bit-identity contract could not absorb a shared answer.
     /// No campaign runner calls this any more (see [`EvalContext`] for why
     /// it is kept).
-    pub fn attach_shared(&mut self, shared: Arc<SharedCache<SearchPoint, Measurement>>) {
+    pub fn attach_shared(&mut self, shared: Arc<SharedCache<E::Point, E::Measurement>>) {
         if self.memoize {
             self.shared = Some(shared);
         }
     }
 
-    fn timed_compute(&mut self, point: &SearchPoint) -> Measurement {
-        // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
-        let started = Instant::now();
-        let measurement = self.engine.measure(point);
-        self.compute_nanos.push(started.elapsed().as_nanos() as u64);
-        measurement
-    }
-
     /// Measure one point, answering from the memo cache when the identical
     /// point was measured before.
-    pub fn measure(&mut self, point: &SearchPoint) -> Measurement {
+    pub fn measure(&mut self, point: &E::Point) -> E::Measurement {
         if !self.memoize {
             self.stats.misses += 1;
-            return self.timed_compute(point);
+            return timed_measure(self.engine, &mut self.compute_nanos, point);
         }
         if let Some(measurement) = self.cache.get(point) {
             self.stats.hits += 1;
             return (**measurement).clone();
         }
         self.stats.misses += 1;
-        let measurement = if let Some(shared) = self.shared.as_ref().map(Arc::clone) {
-            let engine = &mut *self.engine;
-            let nanos = &mut self.compute_nanos;
-            let mut computed_here = false;
-            let measurement = shared.get_or_compute(point, || {
-                computed_here = true;
-                // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
-                let started = Instant::now();
-                let measurement = engine.measure(point);
-                nanos.push(started.elapsed().as_nanos() as u64);
+        let engine = &mut *self.engine;
+        let nanos = &mut self.compute_nanos;
+        let measurement = match &self.shared {
+            Some(shared) => {
+                let mut computed_here = false;
+                let measurement = shared.get_or_compute(point, || {
+                    computed_here = true;
+                    timed_measure(engine, nanos, point)
+                });
+                if computed_here {
+                    self.shared_use.computed += 1;
+                } else {
+                    self.shared_use.served += 1;
+                }
                 measurement
-            });
-            if computed_here {
-                self.shared_use.computed += 1;
-            } else {
-                self.shared_use.served += 1;
             }
-            measurement
-        } else {
-            Arc::new(self.timed_compute(point))
+            None => Arc::new(timed_measure(engine, nanos, point)),
         };
         self.cache.insert(point.clone(), Arc::clone(&measurement));
         (*measurement).clone()
@@ -435,8 +439,8 @@ impl<'e> Evaluator<'e> {
     pub fn measure_and_assess(
         &mut self,
         monitor: &AnomalyMonitor,
-        point: &SearchPoint,
-    ) -> (Measurement, AnomalyVerdict) {
+        point: &E::Point,
+    ) -> (E::Measurement, E::Verdict) {
         let samples = monitor.samples_per_iteration.max(1);
         let measurement = self.measure(point);
         if self.memoize {
@@ -448,7 +452,7 @@ impl<'e> Evaluator<'e> {
                 let _ = self.measure(point);
             }
         }
-        let verdict = monitor.assess(&measurement, &self.subsystem().rnic);
+        let verdict = self.engine.assess(monitor, &measurement);
         (measurement, verdict)
     }
 
@@ -458,8 +462,8 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Ground-truth oracle pass-through (scoring only; see
-    /// [`WorkloadEngine::ground_truth`]).
-    pub fn ground_truth(&self, point: &SearchPoint) -> Vec<&'static str> {
+    /// [`Engine::ground_truth`]).
+    pub fn ground_truth(&self, point: &E::Point) -> Vec<&'static str> {
         self.engine.ground_truth(point)
     }
 
@@ -493,10 +497,113 @@ impl<'e> Evaluator<'e> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use collie_rnic::subsystems::SubsystemId;
     use collie_rnic::workload::{Opcode, Transport};
+
+    // The evaluator contract, stated once for every `Engine` in four
+    // parts and run for both engines. `fresh` builds an independent
+    // engine; `point` and `other` are distinct points.
+
+    /// Repeats hit the cache and agree, and the one compute records
+    /// exactly one latency sample.
+    pub(crate) fn assert_repeats_hit_the_cache<E: Engine>(fresh: impl Fn() -> E, point: &E::Point)
+    where
+        E::Measurement: PartialEq + fmt::Debug,
+    {
+        let mut engine = fresh();
+        let mut evaluator = Evaluator::new(&mut engine);
+        let first = evaluator.measure(point);
+        assert_eq!(evaluator.measure(point), first);
+        assert_eq!(evaluator.stats(), EvalStats { hits: 1, misses: 1 });
+        assert_eq!(evaluator.cached_points(), 1);
+        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
+    }
+
+    /// The uncached path never hits and records one latency sample per
+    /// compute.
+    pub(crate) fn assert_uncached_never_hits<E: Engine>(fresh: impl Fn() -> E, point: &E::Point)
+    where
+        E::Measurement: PartialEq + fmt::Debug,
+    {
+        let mut engine = fresh();
+        let mut uncached = Evaluator::uncached(&mut engine);
+        let first = uncached.measure(point);
+        assert_eq!(uncached.measure(point), first);
+        assert_eq!(uncached.stats(), EvalStats { hits: 0, misses: 2 });
+        assert_eq!(uncached.cached_points(), 0);
+        assert_eq!(uncached.profile().compute_nanos.len(), 2);
+    }
+
+    /// The §6 procedure samples four times per iteration: one compute,
+    /// three cache hits. Returns its verdict on `point`.
+    pub(crate) fn assert_four_samples_per_assessment<E: Engine>(
+        fresh: impl Fn() -> E,
+        point: &E::Point,
+    ) -> E::Verdict
+    where
+        E::Measurement: PartialEq + fmt::Debug,
+    {
+        let monitor = AnomalyMonitor::new();
+        let mut engine = fresh();
+        let mut evaluator = Evaluator::new(&mut engine);
+        let (sampled, verdict) = evaluator.measure_and_assess(&monitor, point);
+        assert_eq!(sampled, fresh().measure(point));
+        assert_eq!(evaluator.stats(), EvalStats { hits: 3, misses: 1 });
+        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
+        verdict
+    }
+
+    /// A local miss served by another evaluator's publication still counts
+    /// as a plain miss (bit-identity) and logs no latency, because no flow
+    /// model ran here; a new point is computed through the shared cache.
+    /// An uncached evaluator ignores the attachment.
+    pub(crate) fn assert_shared_use_is_accounted_apart<E: Engine>(
+        fresh: impl Fn() -> E,
+        point: &E::Point,
+        other: &E::Point,
+    ) where
+        E::Measurement: PartialEq + fmt::Debug,
+    {
+        let first = fresh().measure(point);
+        let shared = Arc::new(SharedCache::new());
+        shared.get_or_compute(point, || first.clone());
+        let mut engine = fresh();
+        let mut evaluator = Evaluator::new(&mut engine);
+        evaluator.attach_shared(Arc::clone(&shared));
+        assert_eq!(evaluator.measure(point), first);
+        assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 1 });
+        let served = SharedUse {
+            computed: 0,
+            served: 1,
+        };
+        assert_eq!(evaluator.shared_use(), served);
+        assert!(evaluator.profile().compute_nanos.is_empty());
+        let _ = evaluator.measure(other);
+        let computed = SharedUse {
+            computed: 1,
+            served: 1,
+        };
+        assert_eq!(evaluator.shared_use(), computed);
+        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
+        let mut engine = fresh();
+        let mut uncached = Evaluator::uncached(&mut engine);
+        uncached.attach_shared(Arc::clone(&shared));
+        let _ = uncached.measure(point);
+        assert_eq!(uncached.shared_use(), SharedUse::default());
+        assert_eq!(uncached.profile().compute_nanos.len(), 1);
+        let untouched = CacheTotals {
+            computed: 2,
+            served: 1,
+            evicted: 0,
+        };
+        assert_eq!(
+            shared.totals(),
+            untouched,
+            "the uncached path must not share"
+        );
+    }
 
     fn anomalous_point() -> SearchPoint {
         let mut p = SearchPoint::benign();
@@ -507,6 +614,16 @@ mod tests {
         p.mtu = 2048;
         p.messages = vec![2048];
         p
+    }
+
+    #[test]
+    fn evaluator_contract_holds_for_the_workload_engine() {
+        let fresh = || WorkloadEngine::for_catalog(SubsystemId::F);
+        let (point, other) = (anomalous_point(), SearchPoint::benign());
+        assert_repeats_hit_the_cache(fresh, &point);
+        assert_uncached_never_hits(fresh, &point);
+        assert!(assert_four_samples_per_assessment(fresh, &point).is_anomalous());
+        assert_shared_use_is_accounted_apart(fresh, &point, &other);
     }
 
     #[test]

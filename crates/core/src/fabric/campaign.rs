@@ -23,8 +23,8 @@ use super::{FabricEngine, FabricEvaluator};
 use crate::eval::{EvalProfile, EvalStats};
 use crate::monitor::{AnomalyMonitor, FeatureCondition, Symptom};
 use crate::search::domain::{CampaignReport, ExtractionCost, SearchDomain};
-use crate::search::kernel::{run_annealing, run_bayesian, run_random, CampaignLoop};
-use crate::search::{SearchConfig, SearchStrategy, SignalMode};
+use crate::search::kernel::run_campaign;
+use crate::search::{SearchConfig, SignalMode};
 use crate::space::{FabricFeature, FabricPoint, FabricSpace, FeatureValue};
 use collie_rnic::counters::fabric as fabric_gauges;
 use collie_rnic::fabric::FabricMeasurement;
@@ -343,21 +343,11 @@ pub fn run_fabric_search(
     run_fabric_search_with_stats(engine, space, config).0
 }
 
-/// Run one fabric campaign and also report the evaluation-cache statistics
-/// (the outcome itself is independent of the cache).
+/// Run one fabric campaign through its own memo cache and also return the
+/// evaluator's [`EvalProfile`] (the fabric counterpart of
+/// [`run_search_with_stats`](crate::search::run_search_with_stats); the
+/// outcome itself is independent of the cache).
 pub fn run_fabric_search_with_stats(
-    engine: &mut FabricEngine,
-    space: &FabricSpace,
-    config: &SearchConfig,
-) -> (FabricOutcome, EvalStats) {
-    let (outcome, profile) = run_fabric_search_in_context(engine, space, config);
-    (outcome, profile.stats)
-}
-
-/// Run one fabric campaign and return its full [`EvalProfile`]: the fabric
-/// counterpart of
-/// [`run_search_in_context`](crate::search::run_search_in_context).
-pub fn run_fabric_search_in_context(
     engine: &mut FabricEngine,
     space: &FabricSpace,
     config: &SearchConfig,
@@ -380,30 +370,19 @@ pub fn run_fabric_search_in_context(
     } else {
         FabricEvaluator::uncached(engine)
     };
-    let outcome = {
-        let domain = FabricDomain::new(&mut evaluator, &monitor, space, config.signal);
-        let mut campaign = CampaignLoop::new(domain, config);
-        // One arm per strategy, each dispatching to the generic kernel driver
-        // of the same name: the outcome's label (derived from the strategy by
-        // `SearchConfig::label`) always names the driver that actually ran.
-        // (A Bayesian config used to be silently normalised to the random
-        // baseline while its report still said "BO" — the fabric surrogate
-        // encoding removed the need for that mapping.)
-        match config.strategy {
-            SearchStrategy::SimulatedAnnealing => run_annealing(&mut campaign),
-            SearchStrategy::Random => run_random(&mut campaign),
-            SearchStrategy::Bayesian => run_bayesian(&mut campaign),
-        }
-        FabricOutcome::from_report(format!("{} fabric", config.label()), campaign.finish())
-    };
-    let profile = evaluator.profile();
-    (outcome, profile)
+    let domain = FabricDomain::new(&mut evaluator, &monitor, space, config.signal);
+    // The label comes from the strategy, so it always names the kernel
+    // driver `run_campaign` dispatched to.
+    let label = format!("{} fabric", config.label());
+    let outcome = FabricOutcome::from_report(label, run_campaign(domain, config));
+    (outcome, evaluator.profile())
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{cross_host_culprit, storming_culprit};
     use super::*;
+    use crate::search::kernel::CampaignLoop;
     use crate::space::SearchPoint;
     use collie_rnic::subsystems::SubsystemId;
     use collie_sim::rng::SimRng;

@@ -1,11 +1,12 @@
 //! Minimal feature sets over the fabric space.
 //!
-//! Same algorithm as the two-host extractor
-//! ([`MfsExtractor`](crate::monitor::MfsExtractor)), lifted to
-//! [`FabricFeature`]: every coordinate — the culprit workload's fifteen
-//! features *and* the three fabric dimensions — is probed for necessity, so
-//! a cross-host MFS can state conditions like "at least 3 hosts" or
-//! "incast degree at least 2" alongside the usual transport conditions.
+//! The generic extractor
+//! ([`kernel::MfsExtractor`](crate::search::kernel::MfsExtractor)) bound to
+//! a [`FabricDomain`](super::FabricDomain) probes every
+//! [`FabricFeature`] — the culprit workload's fifteen features *and* the
+//! three fabric dimensions — for necessity, so a cross-host MFS can state
+//! conditions like "at least 3 hosts" or "incast degree at least 2"
+//! alongside the usual transport conditions.
 //!
 //! A probe "reproduces" the anomaly when it shows the same observable
 //! identity: the same end-to-end symptom *and* the same cross-host
@@ -14,12 +15,9 @@
 //! different) self-evident local storm when a probe merely pushes the
 //! culprit over its own throughput threshold.
 
-use super::campaign::FabricDomain;
-use super::{FabricEvaluator, FabricVerdict};
-use crate::monitor::{AnomalyMonitor, FeatureCondition, Symptom};
-use crate::search::SignalMode;
-use crate::space::{FabricFeature, FabricPoint, FabricSpace};
-use collie_sim::time::SimDuration;
+use super::FabricVerdict;
+use crate::monitor::{FeatureCondition, Symptom};
+use crate::space::{FabricFeature, FabricPoint};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -83,92 +81,28 @@ impl FabricSignature {
     }
 }
 
-/// The result of one fabric extraction: the MFS plus the cost it incurred.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FabricExtractionOutcome {
-    /// The extracted minimal feature set.
-    pub mfs: FabricMfs,
-    /// Experiments spent probing.
-    pub experiments: u32,
-    /// Simulated wall-clock spent probing.
-    pub elapsed: SimDuration,
-}
-
-/// Extracts fabric MFSes by probing through a shared memoized evaluator.
-///
-/// This is the fabric convenience binding of the generic
-/// [`kernel::MfsExtractor`](crate::search::kernel::MfsExtractor): it holds
-/// the evaluator/monitor/space triple and instantiates the generic prober
-/// over a [`FabricDomain`] per extraction.
-pub struct FabricMfsExtractor<'a, 'e> {
-    evaluator: &'a mut FabricEvaluator<'e>,
-    monitor: &'a AnomalyMonitor,
-    space: &'a FabricSpace,
-    /// Maximum alternatives probed per categorical feature.
-    pub max_alternatives: usize,
-    /// Maximum bisection steps per numeric feature.
-    pub max_bisection_steps: usize,
-}
-
-impl<'a, 'e> FabricMfsExtractor<'a, 'e> {
-    /// A new extractor bound to an evaluator, monitor, and fabric space.
-    pub fn new(
-        evaluator: &'a mut FabricEvaluator<'e>,
-        monitor: &'a AnomalyMonitor,
-        space: &'a FabricSpace,
-    ) -> Self {
-        FabricMfsExtractor {
-            evaluator,
-            monitor,
-            space,
-            max_alternatives: 2,
-            max_bisection_steps: 1,
-        }
-    }
-
-    /// Extract the MFS of an anomalous fabric point.
-    pub fn extract(
-        &mut self,
-        anomalous: &FabricPoint,
-        symptom: Symptom,
-        cross_host: bool,
-    ) -> FabricExtractionOutcome {
-        // The signal mode only affects campaign guidance, never extraction
-        // (the fabric signature is the (symptom, cross-host) identity);
-        // any mode binds the same probing behaviour.
-        let mut domain = FabricDomain::new(
-            &mut *self.evaluator,
-            self.monitor,
-            self.space,
-            SignalMode::Diagnostic,
-        );
-        let parts = crate::search::kernel::MfsExtractor::new(&mut domain)
-            .with_limits(self.max_alternatives, self.max_bisection_steps)
-            .extract(anomalous, &(symptom, cross_host));
-        FabricExtractionOutcome {
-            mfs: parts.mfs,
-            experiments: parts.experiments,
-            elapsed: parts.elapsed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tests::{cross_host_culprit, storming_culprit};
     use super::*;
-    use crate::fabric::{assess_fabric, FabricEngine};
+    use crate::fabric::{assess_fabric, FabricDomain, FabricEngine, FabricEvaluator};
+    use crate::monitor::AnomalyMonitor;
+    use crate::search::kernel::{ExtractionParts, MfsExtractor};
+    use crate::search::SignalMode;
+    use crate::space::FabricSpace;
     use collie_rnic::subsystems::SubsystemId;
+    use collie_sim::time::SimDuration;
 
-    fn extract_for(point: &FabricPoint) -> FabricExtractionOutcome {
+    fn extract_for(point: &FabricPoint) -> ExtractionParts<FabricMfs> {
         let mut engine = FabricEngine::for_catalog(SubsystemId::F);
         let monitor = AnomalyMonitor::new();
         let space = FabricSpace::for_host(&SubsystemId::F.host());
         let mut evaluator = FabricEvaluator::new(&mut engine);
         let (_, verdict) = evaluator.measure_and_assess(&monitor, point);
         let symptom = verdict.symptom.expect("point must be anomalous");
-        let mut extractor = FabricMfsExtractor::new(&mut evaluator, &monitor, &space);
-        extractor.extract(point, symptom, verdict.cross_host)
+        let mut domain =
+            FabricDomain::new(&mut evaluator, &monitor, &space, SignalMode::Diagnostic);
+        MfsExtractor::new(&mut domain).extract(point, &(symptom, verdict.cross_host))
     }
 
     #[test]

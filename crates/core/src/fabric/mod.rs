@@ -11,18 +11,18 @@
 //!   measured on the calibrated two-host model, then
 //!   [`evaluate_fabric`] relays the
 //!   culprit's pause through the N-port switch and derives the victim and
-//!   spread gauges.
-//! * [`FabricEvaluator`] is the memoized evaluation layer (the fabric
-//!   counterpart of [`Evaluator`](crate::eval::Evaluator)): fabric
-//!   measurements are a pure function of the [`FabricPoint`], so whole
-//!   measurements are memoized by canonical point and campaigns are
-//!   bit-identical with the cache on or off.
+//!   spread gauges. It implements [`Engine`], so the one memoizing
+//!   [`Evaluator`] serves it as [`FabricEvaluator`]: fabric measurements
+//!   are a pure function of the [`FabricPoint`], so whole measurements are
+//!   memoized by canonical point and campaigns are bit-identical with the
+//!   cache on or off.
 //! * [`assess_fabric`] applies the §5.2 anomaly conditions to the fabric
 //!   observables and additionally labels the cross-host hallmark: a victim
 //!   flow collapsing while the culprit's own throughput stays healthy.
-//! * [`FabricMfsExtractor`] extracts minimal
-//!   feature sets over workload *and* fabric coordinates, so an MFS can
-//!   state "needs at least 3 hosts, incast at least 2".
+//! * [`FabricDomain`] binds the fabric space to the generic kernel, so the
+//!   kernel's [`MfsExtractor`](crate::search::kernel::MfsExtractor)
+//!   extracts minimal feature sets over workload *and* fabric coordinates:
+//!   an MFS can state "needs at least 3 hosts, incast at least 2".
 //! * [`run_fabric_search`] runs the
 //!   counter-guided campaign over the fabric space.
 
@@ -30,13 +30,12 @@ mod campaign;
 mod mfs;
 
 pub use campaign::{
-    run_fabric_search, run_fabric_search_in_context, run_fabric_search_with_stats, FabricDiscovery,
-    FabricDomain, FabricOutcome,
+    run_fabric_search, run_fabric_search_with_stats, FabricDiscovery, FabricDomain, FabricOutcome,
 };
-pub use mfs::{FabricExtractionOutcome, FabricMfs, FabricMfsExtractor, FabricSignature};
+pub use mfs::{FabricMfs, FabricSignature};
 
-use crate::engine::WorkloadEngine;
-use crate::eval::{EvalProfile, EvalStats, SharedCache, SharedUse};
+use crate::engine::{Engine, WorkloadEngine};
+use crate::eval::Evaluator;
 use crate::monitor::{AnomalyMonitor, Symptom};
 use crate::space::{FabricPoint, SearchPoint};
 use collie_rnic::fabric::{evaluate_fabric, FabricMeasurement};
@@ -44,10 +43,9 @@ use collie_rnic::subsystem::{Measurement, Subsystem};
 use collie_rnic::subsystems::SubsystemId;
 use collie_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::Arc;
-// collie-lint: allow(wall-clock, reason = "FabricEvaluator's EvalProfile records real compute latency; it never feeds a campaign decision")
-use std::time::Instant;
+
+/// The memoizing evaluator over a [`FabricEngine`].
+pub type FabricEvaluator<'e> = Evaluator<'e, FabricEngine>;
 
 /// Sets up and runs fabric experiments: N homogeneous hosts around the
 /// wrapped two-host engine.
@@ -74,12 +72,6 @@ impl FabricEngine {
     /// A fabric engine over one of the Table-1 subsystems.
     pub fn for_catalog(id: SubsystemId) -> Self {
         FabricEngine::new(WorkloadEngine::for_catalog(id))
-    }
-
-    /// The subsystem under test (every host of the fabric is a copy of its
-    /// host configuration).
-    pub fn subsystem(&self) -> &Subsystem {
-        self.engine.subsystem()
     }
 
     /// The wrapped two-host engine.
@@ -118,10 +110,30 @@ impl FabricEngine {
         let extra_hosts = point.shape().normalized().host_count.saturating_sub(2);
         SimDuration::from_secs_f64((base.as_secs_f64() + 2.0 * extra_hosts as f64).min(90.0))
     }
+}
+
+impl Engine for FabricEngine {
+    type Point = FabricPoint;
+    type Measurement = FabricMeasurement;
+    type Verdict = FabricVerdict;
+
+    fn measure(&mut self, point: &FabricPoint) -> FabricMeasurement {
+        FabricEngine::measure(self, point)
+    }
+
+    fn assess(&self, monitor: &AnomalyMonitor, measurement: &FabricMeasurement) -> FabricVerdict {
+        assess_fabric(monitor, measurement)
+    }
+
+    /// The subsystem under test (every host of the fabric is a copy of its
+    /// host configuration).
+    fn subsystem(&self) -> &Subsystem {
+        self.engine.subsystem()
+    }
 
     /// Ground-truth oracle pass-through for the culprit's workload
     /// (scoring only; the fabric search never sees it).
-    pub fn ground_truth(&self, point: &FabricPoint) -> Vec<&'static str> {
+    fn ground_truth(&self, point: &FabricPoint) -> Vec<&'static str> {
         self.engine.ground_truth(&point.workload)
     }
 }
@@ -171,166 +183,6 @@ pub fn assess_fabric(monitor: &AnomalyMonitor, fm: &FabricMeasurement) -> Fabric
         victim_pause: fm.victim_pause_ratio,
         victim_frac: fm.victim_throughput_frac,
         culprit_frac: fm.culprit_throughput_frac,
-    }
-}
-
-/// A memoizing wrapper around one fabric engine (the fabric counterpart of
-/// [`Evaluator`](crate::eval::Evaluator); same cost-accounting split: the
-/// campaign keeps charging simulated hardware time per measurement whether
-/// or not it hit the cache). With a [`SharedCache`] attached
-/// ([`FabricEvaluator::attach_shared`]) a local miss first consults it;
-/// stats are counted off the local cache alone, so they are bit-identical
-/// either way.
-#[derive(Debug)]
-pub struct FabricEvaluator<'e> {
-    engine: &'e mut FabricEngine,
-    cache: HashMap<FabricPoint, Arc<FabricMeasurement>>,
-    shared: Option<Arc<SharedCache<FabricPoint, FabricMeasurement>>>,
-    memoize: bool,
-    stats: EvalStats,
-    shared_use: SharedUse,
-    compute_nanos: Vec<u64>,
-}
-
-impl<'e> FabricEvaluator<'e> {
-    /// A memoizing evaluator over `engine`.
-    pub fn new(engine: &'e mut FabricEngine) -> Self {
-        FabricEvaluator {
-            engine,
-            cache: HashMap::new(),
-            shared: None,
-            memoize: true,
-            stats: EvalStats::default(),
-            shared_use: SharedUse::default(),
-            compute_nanos: Vec::new(),
-        }
-    }
-
-    /// Attach a matrix-scoped shared cache (see
-    /// [`Evaluator::attach_shared`](crate::eval::Evaluator::attach_shared)):
-    /// local misses are answered through `shared` while [`Self::stats`] stay
-    /// bit-identical. No-op when memoization is off. No campaign runner
-    /// calls this any more; it is kept for the campaign benchmark's traced
-    /// run (see [`EvalContext`](crate::eval::EvalContext)).
-    pub fn attach_shared(&mut self, shared: Arc<SharedCache<FabricPoint, FabricMeasurement>>) {
-        if self.memoize {
-            self.shared = Some(shared);
-        }
-    }
-
-    /// An evaluator that always recomputes (the uncached reference path of
-    /// the bit-identity tests).
-    pub fn uncached(engine: &'e mut FabricEngine) -> Self {
-        FabricEvaluator {
-            memoize: false,
-            ..FabricEvaluator::new(engine)
-        }
-    }
-
-    /// Measure one fabric point, answering from the memo cache when the
-    /// identical point was measured before.
-    pub fn measure(&mut self, point: &FabricPoint) -> FabricMeasurement {
-        if !self.memoize {
-            self.stats.misses += 1;
-            return self.timed_compute(point);
-        }
-        if let Some(measurement) = self.cache.get(point) {
-            self.stats.hits += 1;
-            return (**measurement).clone();
-        }
-        self.stats.misses += 1;
-        let measurement = if let Some(shared) = self.shared.as_ref().map(Arc::clone) {
-            let engine = &mut *self.engine;
-            let nanos = &mut self.compute_nanos;
-            let mut computed_here = false;
-            let measurement = shared.get_or_compute(point, || {
-                computed_here = true;
-                // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
-                let started = Instant::now();
-                let measurement = engine.measure(point);
-                nanos.push(started.elapsed().as_nanos() as u64);
-                measurement
-            });
-            if computed_here {
-                self.shared_use.computed += 1;
-            } else {
-                self.shared_use.served += 1;
-            }
-            measurement
-        } else {
-            Arc::new(self.timed_compute(point))
-        };
-        self.cache.insert(point.clone(), Arc::clone(&measurement));
-        (*measurement).clone()
-    }
-
-    /// Run the fabric model for one point, recording its wall-clock cost.
-    fn timed_compute(&mut self, point: &FabricPoint) -> FabricMeasurement {
-        // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
-        let started = Instant::now();
-        let measurement = self.engine.measure(point);
-        self.compute_nanos.push(started.elapsed().as_nanos() as u64);
-        measurement
-    }
-
-    /// The §6 measurement procedure through the cache: sample the fabric
-    /// experiment `samples_per_iteration` times (repeats are cache hits)
-    /// and assess the final sample.
-    pub fn measure_and_assess(
-        &mut self,
-        monitor: &AnomalyMonitor,
-        point: &FabricPoint,
-    ) -> (FabricMeasurement, FabricVerdict) {
-        let samples = monitor.samples_per_iteration.max(1);
-        let measurement = self.measure(point);
-        if self.memoize {
-            // Repeats of an identical deterministic sample are guaranteed
-            // cache hits; account for them without the redundant lookups.
-            self.stats.hits += u64::from(samples - 1);
-        } else {
-            for _ in 1..samples {
-                let _ = self.measure(point);
-            }
-        }
-        let verdict = assess_fabric(monitor, &measurement);
-        (measurement, verdict)
-    }
-
-    /// The subsystem under test.
-    pub fn subsystem(&self) -> &Subsystem {
-        self.engine.subsystem()
-    }
-
-    /// Ground-truth oracle pass-through (scoring only).
-    pub fn ground_truth(&self, point: &FabricPoint) -> Vec<&'static str> {
-        self.engine.ground_truth(point)
-    }
-
-    /// Cache hit/miss counters so far.
-    pub fn stats(&self) -> EvalStats {
-        self.stats
-    }
-
-    /// Shared-cache interaction counters (see
-    /// [`Evaluator::shared_use`](crate::eval::Evaluator::shared_use), kept
-    /// for the same reason).
-    pub fn shared_use(&self) -> SharedUse {
-        self.shared_use
-    }
-
-    /// The full evaluation profile: local stats and one wall-clock latency
-    /// per fabric-model run on this thread.
-    pub fn profile(&self) -> EvalProfile {
-        EvalProfile {
-            stats: self.stats,
-            compute_nanos: self.compute_nanos.clone(),
-            incremental: self.engine.subsystem().incremental_use(),
-        }
-    }
-
-    /// Number of distinct points held in the cache.
-    pub fn cached_points(&self) -> usize {
-        self.cache.len()
     }
 }
 
@@ -432,77 +284,36 @@ mod tests {
         assert_eq!(a, b, "measure must be a pure function of the point");
     }
 
+    fn fresh_engine() -> FabricEngine {
+        FabricEngine::for_catalog(SubsystemId::F)
+    }
+
     #[test]
     fn evaluator_hits_the_cache_on_repeats_and_agrees() {
-        let mut engine = FabricEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = FabricEvaluator::new(&mut engine);
-        let p = cross_host_culprit();
-        let first = evaluator.measure(&p);
-        let second = evaluator.measure(&p);
-        assert_eq!(first, second);
-        assert_eq!(evaluator.stats(), EvalStats { hits: 1, misses: 1 });
-        assert_eq!(evaluator.cached_points(), 1);
+        crate::eval::tests::assert_repeats_hit_the_cache(fresh_engine, &cross_host_culprit());
     }
 
     #[test]
     fn measure_and_assess_samples_through_the_cache() {
-        let mut engine = FabricEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = FabricEvaluator::new(&mut engine);
-        let monitor = AnomalyMonitor::new();
-        let (_, verdict) = evaluator.measure_and_assess(&monitor, &cross_host_culprit());
+        let verdict = crate::eval::tests::assert_four_samples_per_assessment(
+            fresh_engine,
+            &cross_host_culprit(),
+        );
         assert!(verdict.is_anomalous());
-        // Four samples per iteration: one compute, three cache hits.
-        assert_eq!(evaluator.stats(), EvalStats { hits: 3, misses: 1 });
     }
 
     #[test]
     fn uncached_evaluator_never_hits() {
-        let mut engine = FabricEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = FabricEvaluator::uncached(&mut engine);
-        let p = FabricPoint::benign();
-        let a = evaluator.measure(&p);
-        let b = evaluator.measure(&p);
-        assert_eq!(a, b);
-        assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 2 });
-        assert_eq!(evaluator.cached_points(), 0);
+        crate::eval::tests::assert_uncached_never_hits(fresh_engine, &FabricPoint::benign());
     }
 
     #[test]
     fn attached_fabric_cache_tracks_shared_use_without_touching_stats() {
-        let shared: Arc<SharedCache<FabricPoint, FabricMeasurement>> = Arc::new(SharedCache::new());
-        let mut reference = FabricEngine::for_catalog(SubsystemId::F);
-        let p = cross_host_culprit();
-        shared.get_or_compute(&p, || reference.measure(&p));
-
-        let mut engine = FabricEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = FabricEvaluator::new(&mut engine);
-        evaluator.attach_shared(Arc::clone(&shared));
-        let got = evaluator.measure(&p);
-        assert_eq!(got, reference.measure(&p));
-        assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 1 });
-        assert_eq!(
-            evaluator.shared_use(),
-            SharedUse {
-                computed: 0,
-                served: 1
-            }
+        crate::eval::tests::assert_shared_use_is_accounted_apart(
+            fresh_engine,
+            &cross_host_culprit(),
+            &FabricPoint::benign(),
         );
-        assert!(evaluator.profile().compute_nanos.is_empty());
-        let _ = evaluator.measure(&FabricPoint::benign());
-        assert_eq!(
-            evaluator.shared_use(),
-            SharedUse {
-                computed: 1,
-                served: 1
-            }
-        );
-        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
-
-        let mut uncached = FabricEvaluator::uncached(&mut reference);
-        uncached.attach_shared(Arc::clone(&shared));
-        let _ = uncached.measure(&p);
-        assert_eq!(uncached.shared_use(), SharedUse::default());
-        assert_eq!(uncached.profile().compute_nanos.len(), 1);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //!   value ladders, random sampling, and single-dimension mutation.
 //! * [`engine`] — the workload engine: translates a search point into the
 //!   flow-level workload the subsystem model evaluates (and, for
-//!   validation, into actual verbs calls against the simulated fabric).
-//! * [`eval`] — the memoized evaluation layer: a [`SearchPoint`]-keyed memo
-//!   cache over the engine that every campaign routes its experiments
-//!   through, so revisited workloads skip the flow-model recompute while
-//!   still being charged their simulated hardware cost.
+//!   validation, into actual verbs calls against the simulated fabric),
+//!   plus the [`Engine`] trait every experiment engine implements.
+//! * [`eval`] — the memoized evaluation layer: one point-keyed memo cache
+//!   over any [`Engine`] (two-host or fabric) that every campaign routes
+//!   its experiments through, so revisited points skip the flow-model
+//!   recompute while still being charged their simulated hardware cost.
 //! * [`monitor`] — the anomaly monitor: the pause-ratio and
 //!   throughput-versus-spec detection conditions of §5.2, plus the minimal
 //!   feature set (MFS) algorithm that extracts each anomaly's triggering
@@ -70,7 +71,7 @@ pub mod space;
 
 pub use advisor::{Advisor, Suggestion};
 pub use catalog::KnownAnomaly;
-pub use engine::WorkloadEngine;
+pub use engine::{Engine, WorkloadEngine};
 pub use eval::{EvalStats, Evaluator};
 pub use fabric::{FabricEngine, FabricEvaluator, FabricOutcome, FabricVerdict};
 pub use mitigation::{Mitigation, MitigationKind, RemediationPlan};

@@ -17,17 +17,13 @@
 //! continuous dimensions into value regions.
 //!
 //! The probing algorithm itself is domain-generic and lives in
-//! [`kernel::MfsExtractor`](crate::search::kernel::MfsExtractor); this
-//! module owns the two-host MFS *type* and the [`MfsExtractor`] convenience
-//! wrapper that binds the generic extractor to an evaluator, monitor, and
-//! space (the fabric counterpart is
-//! [`FabricMfsExtractor`](crate::fabric::FabricMfsExtractor)).
+//! [`kernel::MfsExtractor`](crate::search::kernel::MfsExtractor); bound to
+//! a [`WorkloadDomain`](crate::search::WorkloadDomain) it extracts the
+//! two-host MFS *type* this module owns (the fabric counterpart is
+//! [`FabricMfs`](crate::fabric::FabricMfs)).
 
-use super::anomaly::{AnomalyMonitor, Symptom};
-use crate::eval::Evaluator;
-use crate::search::{SignalMode, WorkloadDomain};
-use crate::space::{Feature, FeatureValue, SearchPoint, SearchSpace};
-use collie_sim::time::SimDuration;
+use super::anomaly::Symptom;
+use crate::space::{Feature, FeatureValue, SearchPoint};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -142,90 +138,18 @@ pub(crate) fn dominant_diag_counter(
         .map(|(name, _, _)| name.to_string())
 }
 
-/// Extracts MFSes by probing the subsystem.
-///
-/// This is the two-host convenience binding of the generic
-/// [`kernel::MfsExtractor`](crate::search::kernel::MfsExtractor): it holds
-/// the evaluator/monitor/space triple and instantiates the generic prober
-/// over a [`WorkloadDomain`] per extraction.
-///
-/// Probes run through a shared [`Evaluator`], which matters for cost: the
-/// extractor is the heaviest revisiter in a campaign — it re-measures the
-/// anomalous point it was handed (the search just measured it) and its
-/// single-feature neighbourhoods overlap across extractions — so routing it
-/// through the campaign's memo cache removes most of its recompute while
-/// the simulated probe cost keeps being charged.
-pub struct MfsExtractor<'a, 'e> {
-    evaluator: &'a mut Evaluator<'e>,
-    monitor: &'a AnomalyMonitor,
-    space: &'a SearchSpace,
-    /// Maximum alternatives probed per categorical feature.
-    pub max_alternatives: usize,
-    /// Maximum bisection steps per numeric feature.
-    pub max_bisection_steps: usize,
-}
-
-/// The result of one extraction: the MFS plus the cost it incurred.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtractionOutcome {
-    /// The extracted minimal feature set.
-    pub mfs: Mfs,
-    /// Experiments spent probing.
-    pub experiments: u32,
-    /// Simulated wall-clock spent probing (each probe costs what a normal
-    /// experiment costs — visible as the flat segments of Figure 6).
-    pub elapsed: SimDuration,
-}
-
-impl<'a, 'e> MfsExtractor<'a, 'e> {
-    /// A new extractor bound to an evaluator, monitor, and space.
-    pub fn new(
-        evaluator: &'a mut Evaluator<'e>,
-        monitor: &'a AnomalyMonitor,
-        space: &'a SearchSpace,
-    ) -> Self {
-        MfsExtractor {
-            evaluator,
-            monitor,
-            space,
-            // §5.2: "we just do a few tests on each dimension". Two
-            // alternatives per categorical feature and one refinement step
-            // per numeric feature keep one extraction in the tens of
-            // experiments — the flat segments visible in Figure 6 — rather
-            // than consuming a large slice of the campaign budget.
-            max_alternatives: 2,
-            max_bisection_steps: 1,
-        }
-    }
-
-    /// Extract the MFS of an anomalous point.
-    pub fn extract(&mut self, anomalous: &SearchPoint, symptom: Symptom) -> ExtractionOutcome {
-        // The signal mode only affects campaign guidance, never extraction
-        // (the reproduction signature is always symptom + dominant
-        // diagnostic counter); any mode binds the same probing behaviour.
-        let mut domain = WorkloadDomain::new(
-            &mut *self.evaluator,
-            self.monitor,
-            self.space,
-            SignalMode::Diagnostic,
-        );
-        let parts = crate::search::kernel::MfsExtractor::new(&mut domain)
-            .with_limits(self.max_alternatives, self.max_bisection_steps)
-            .extract(anomalous, &symptom);
-        ExtractionOutcome {
-            mfs: parts.mfs,
-            experiments: parts.experiments,
-            elapsed: parts.elapsed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::WorkloadEngine;
+    use crate::eval::Evaluator;
+    use crate::monitor::AnomalyMonitor;
+    use crate::search::kernel::{ExtractionParts, MfsExtractor};
+    use crate::search::{SignalMode, WorkloadDomain};
+    use crate::space::SearchSpace;
     use collie_rnic::subsystems::SubsystemId;
     use collie_rnic::workload::{Opcode, Transport};
+    use collie_sim::time::SimDuration;
 
     fn anomaly_1_point() -> SearchPoint {
         let mut p = SearchPoint::benign();
@@ -240,7 +164,7 @@ mod tests {
         p
     }
 
-    fn extract_for(point: &SearchPoint) -> ExtractionOutcome {
+    fn extract_for(point: &SearchPoint) -> ExtractionParts<Mfs> {
         let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
         let monitor = AnomalyMonitor::new();
         let space = SearchSpace::for_host(&SubsystemId::F.host());
@@ -249,8 +173,9 @@ mod tests {
             let (_, verdict) = evaluator.measure_and_assess(&monitor, point);
             verdict.symptom.expect("point must be anomalous")
         };
-        let mut extractor = MfsExtractor::new(&mut evaluator, &monitor, &space);
-        extractor.extract(point, symptom)
+        let mut domain =
+            WorkloadDomain::new(&mut evaluator, &monitor, &space, SignalMode::Diagnostic);
+        MfsExtractor::new(&mut domain).extract(point, &symptom)
     }
 
     #[test]

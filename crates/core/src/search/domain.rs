@@ -60,12 +60,14 @@ impl ExtractionCost {
 ///
 /// # Adding a new search dimension
 ///
-/// Implement this trait for a point type over the new coordinates (see
+/// Implement [`Engine`](crate::engine::Engine) for the new experiment
+/// engine, then this trait for a point type over the new coordinates (see
 /// DESIGN.md §8 for the walkthrough): define the point/feature/MFS types,
-/// delegate sampling and mutation to the space, route `assess` through a
-/// memoizing evaluator, and pick the anomaly identity that should dedup
-/// discoveries. `run_random`/`run_annealing` and the generic extractor then
-/// work unchanged.
+/// delegate sampling and mutation to the space, route `assess` through the
+/// memoizing [`Evaluator`](crate::eval::Evaluator) over that engine, and
+/// pick the anomaly identity that should dedup discoveries.
+/// [`run_campaign`](crate::search::kernel::run_campaign) and the generic
+/// extractor then work unchanged.
 pub trait SearchDomain {
     /// A point of the space (one experiment description). `Eq + Hash`
     /// because points key the evaluator's memo cache.

@@ -5,8 +5,9 @@
 //! accounting, the Algorithm-1 line-5 MFS skip (with the empty-MFS guard),
 //! per-identity discovery dedup, the Figure-6 trace, rule-hit scoring, and
 //! the campaign RNG. [`run_random`], [`run_bayesian`], and
-//! [`run_annealing`] are the strategy drivers; [`MfsExtractor`] is the
-//! §5.2 feature-necessity prober. All of them are generic over the domain
+//! [`run_annealing`] are the strategy drivers, and [`run_campaign`] picks
+//! the one a config names; [`MfsExtractor`] is the §5.2
+//! feature-necessity prober. All of them are generic over the domain
 //! (the BO surrogate encodes points through
 //! [`SearchDomain::surrogate_features`]), so the two-host and fabric
 //! stacks execute literally the same code.
@@ -34,7 +35,7 @@
 //!   two deliberate fixes (pinned by their own fixtures).
 
 use crate::search::domain::{CampaignReport, ExtractionCost, SearchDomain};
-use crate::search::{RuleHit, SearchConfig};
+use crate::search::{RuleHit, SearchConfig, SearchStrategy};
 use crate::space::FeatureValue;
 use collie_sim::rng::SimRng;
 use collie_sim::series::TimeSeries;
@@ -57,6 +58,16 @@ const CANDIDATES_PER_ROUND: usize = 8;
 const NEIGHBOURS: usize = 3;
 /// Weight of the BO exploration bonus relative to the predicted value.
 const EXPLORATION_WEIGHT: f64 = 0.3;
+
+// MFS probe limits. §5.2: "we just do a few tests on each dimension". Two
+// alternatives per categorical feature and one refinement step per numeric
+// feature keep one extraction in the tens of experiments — the flat
+// segments visible in Figure 6 — rather than consuming a large slice of the
+// campaign budget.
+/// Alternatives the MFS extractor probes per categorical feature.
+const MAX_ALTERNATIVES: usize = 2;
+/// Bisection steps the MFS extractor takes per numeric feature.
+const MAX_BISECTION_STEPS: usize = 1;
 
 /// Mutable campaign state shared by every strategy, generic over the
 /// search domain.
@@ -340,6 +351,18 @@ fn rank_by_variability(mut ranked: Vec<(String, f64)>) -> Vec<Option<String>> {
     }
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     ranked.into_iter().map(|(n, _)| Some(n)).collect()
+}
+
+/// Run one campaign over `domain` with the strategy driver `config` names
+/// (the crate's one strategy dispatch) and hand back its report.
+pub fn run_campaign<D: SearchDomain>(domain: D, config: &SearchConfig) -> CampaignReport<D> {
+    let mut campaign = CampaignLoop::new(domain, config);
+    match config.strategy {
+        SearchStrategy::Random => run_random(&mut campaign),
+        SearchStrategy::Bayesian => run_bayesian(&mut campaign),
+        SearchStrategy::SimulatedAnnealing => run_annealing(&mut campaign),
+    }
+    campaign.finish()
 }
 
 /// Run the random baseline (black-box fuzzing, §7.2) until the budget is
@@ -704,33 +727,12 @@ pub struct ExtractionParts<M> {
 /// probe cost keeps being charged.
 pub struct MfsExtractor<'d, D: SearchDomain> {
     domain: &'d mut D,
-    /// Maximum alternatives probed per categorical feature.
-    pub max_alternatives: usize,
-    /// Maximum bisection steps per numeric feature.
-    pub max_bisection_steps: usize,
 }
 
 impl<'d, D: SearchDomain> MfsExtractor<'d, D> {
     /// A new extractor bound to a domain.
     pub fn new(domain: &'d mut D) -> Self {
-        MfsExtractor {
-            domain,
-            // §5.2: "we just do a few tests on each dimension". Two
-            // alternatives per categorical feature and one refinement step
-            // per numeric feature keep one extraction in the tens of
-            // experiments — the flat segments visible in Figure 6 — rather
-            // than consuming a large slice of the campaign budget.
-            max_alternatives: 2,
-            max_bisection_steps: 1,
-        }
-    }
-
-    /// Override the probe limits (the public per-stack wrappers expose
-    /// them as fields).
-    pub fn with_limits(mut self, max_alternatives: usize, max_bisection_steps: usize) -> Self {
-        self.max_alternatives = max_alternatives;
-        self.max_bisection_steps = max_bisection_steps;
-        self
+        MfsExtractor { domain }
     }
 
     /// Run one probe experiment and report whether it still reproduces the
@@ -799,7 +801,7 @@ impl<'d, D: SearchDomain> MfsExtractor<'d, D> {
         if alternatives.is_empty() {
             return None;
         }
-        for alt in alternatives.iter().take(self.max_alternatives) {
+        for alt in alternatives.iter().take(MAX_ALTERNATIVES) {
             let mut probe = anomalous.clone();
             self.domain.apply(&mut probe, feature, alt);
             if self.probe(&probe, signature, cost) {
@@ -890,7 +892,7 @@ impl<'d, D: SearchDomain> MfsExtractor<'d, D> {
             candidates.reverse();
         }
         let mut threshold = current;
-        for value in candidates.into_iter().take(self.max_bisection_steps) {
+        for value in candidates.into_iter().take(MAX_BISECTION_STEPS) {
             let mut probe = anomalous.clone();
             self.domain
                 .apply(&mut probe, feature, &FeatureValue::Number(value));

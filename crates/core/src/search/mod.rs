@@ -22,11 +22,10 @@ pub use campaign::{Discovery, RuleHit, SearchOutcome, WorkloadDomain};
 pub use domain::{CampaignReport, ExtractionCost, SearchDomain};
 
 use crate::engine::WorkloadEngine;
-use crate::eval::Evaluator;
+use crate::eval::{EvalProfile, Evaluator};
 use crate::monitor::AnomalyMonitor;
 use crate::space::SearchSpace;
 use collie_sim::time::SimDuration;
-use kernel::CampaignLoop;
 use serde::{Deserialize, Serialize};
 
 /// Which counter family guides the search.
@@ -255,15 +254,15 @@ impl SearchConfig {
 
     /// A descriptive label such as "Collie(Diag)" or "BO w/o MFS(Perf)".
     pub fn label(&self) -> String {
+        if self.strategy == SearchStrategy::Random {
+            return "Random".to_string();
+        }
         let signal = match self.signal {
             SignalMode::Performance => "Perf",
             SignalMode::Diagnostic => "Diag",
         };
-        match self.strategy {
-            SearchStrategy::Random => "Random".to_string(),
-            _ if self.use_mfs => format!("{}({signal})", self.strategy.label()),
-            _ => format!("{} w/o MFS({signal})", self.strategy.label()),
-        }
+        let mfs = if self.use_mfs { "" } else { " w/o MFS" };
+        format!("{}{mfs}({signal})", self.strategy.label())
     }
 }
 
@@ -297,27 +296,15 @@ pub fn run_search(
     run_search_with_stats(engine, space, config).0
 }
 
-/// Run one search campaign and also report the evaluation-cache statistics
-/// (the outcome itself is independent of the cache; the stats are what the
-/// harness logs to quantify the memoization win).
+/// Run one search campaign through its own memo cache and also return the
+/// evaluator's [`EvalProfile`]: the cache statistics (the outcome itself is
+/// independent of the cache), per-compute latencies and incremental-reuse
+/// counters the perf harnesses report.
 pub fn run_search_with_stats(
     engine: &mut WorkloadEngine,
     space: &SearchSpace,
     config: &SearchConfig,
-) -> (SearchOutcome, crate::eval::EvalStats) {
-    let (outcome, profile) = run_search_in_context(engine, space, config);
-    (outcome, profile.stats)
-}
-
-/// Run one search campaign through its own memo cache and return the full
-/// [`EvalProfile`](crate::eval::EvalProfile) for perf harnesses: the
-/// [`EvalStats`](crate::eval::EvalStats) [`run_search_with_stats`]
-/// reports, plus per-compute latencies and incremental-reuse counters.
-pub fn run_search_in_context(
-    engine: &mut WorkloadEngine,
-    space: &SearchSpace,
-    config: &SearchConfig,
-) -> (SearchOutcome, crate::eval::EvalProfile) {
+) -> (SearchOutcome, EvalProfile) {
     let monitor = AnomalyMonitor::new();
     engine.set_incremental(config.incremental);
     let mut evaluator = if config.memoize {
@@ -325,18 +312,9 @@ pub fn run_search_in_context(
     } else {
         Evaluator::uncached(engine)
     };
-    let outcome = {
-        let domain = WorkloadDomain::new(&mut evaluator, &monitor, space, config.signal);
-        let mut campaign = CampaignLoop::new(domain, config);
-        match config.strategy {
-            SearchStrategy::Random => kernel::run_random(&mut campaign),
-            SearchStrategy::Bayesian => kernel::run_bayesian(&mut campaign),
-            SearchStrategy::SimulatedAnnealing => kernel::run_annealing(&mut campaign),
-        }
-        SearchOutcome::from_report(config.label(), campaign.finish())
-    };
-    let profile = evaluator.profile();
-    (outcome, profile)
+    let domain = WorkloadDomain::new(&mut evaluator, &monitor, space, config.signal);
+    let outcome = SearchOutcome::from_report(config.label(), kernel::run_campaign(domain, config));
+    (outcome, evaluator.profile())
 }
 
 #[cfg(test)]
@@ -489,14 +467,19 @@ mod tests {
             .with_memoization(true)
             .with_incremental(false);
             let mut scratch_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-            let scratch = run_search_with_stats(&mut scratch_engine, &space, &config);
+            let (scratch, scratch_profile) =
+                run_search_with_stats(&mut scratch_engine, &space, &config);
             let mut inc_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-            let incremental = run_search_with_stats(
+            let (incremental, incremental_profile) = run_search_with_stats(
                 &mut inc_engine,
                 &space,
                 &config.clone().with_incremental(true),
             );
             assert_eq!(scratch, incremental, "{strategy:?}");
+            assert_eq!(
+                scratch_profile.stats, incremental_profile.stats,
+                "{strategy:?}"
+            );
             assert!(
                 inc_engine.subsystem().incremental_use().total_hits() > 0,
                 "{strategy:?}: the incremental leg never reused a stage"

@@ -8,7 +8,8 @@
 //! Run with: `cargo run --example anomaly_replay -- <anomaly-number>`
 //! (defaults to anomaly #4, the bidirectional RC READ pause storm).
 
-use collie::core::monitor::MfsExtractor;
+use collie::core::search::kernel::MfsExtractor;
+use collie::core::search::WorkloadDomain;
 use collie::prelude::*;
 use collie::rnic::counters::{diag, perf};
 
@@ -86,8 +87,10 @@ fn main() {
     let space = SearchSpace::for_host(&anomaly.subsystem.host());
     let outcome = {
         let mut evaluator = collie::core::eval::Evaluator::new(&mut engine);
-        let mut extractor = MfsExtractor::new(&mut evaluator, &monitor, &space);
-        extractor.extract(&anomaly.trigger, anomaly.symptom)
+        // The signal mode steers campaigns only; extraction ignores it.
+        let mut domain =
+            WorkloadDomain::new(&mut evaluator, &monitor, &space, SignalMode::Diagnostic);
+        MfsExtractor::new(&mut domain).extract(&anomaly.trigger, &anomaly.symptom)
     };
     println!(
         "\nMinimal feature set ({} probe experiments, {:.0} simulated seconds):",

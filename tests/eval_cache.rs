@@ -17,9 +17,9 @@ fn campaign(memoize: bool) -> (SearchOutcome, collie::core::eval::EvalStats, f64
         .with_budget(SimDuration::from_secs(2 * 3600))
         .with_memoization(memoize);
     let started = Instant::now();
-    let (outcome, stats) =
+    let (outcome, profile) =
         collie::core::search::run_search_with_stats(&mut engine, &space, &config);
-    (outcome, stats, started.elapsed().as_secs_f64())
+    (outcome, profile.stats, started.elapsed().as_secs_f64())
 }
 
 #[test]
@@ -78,7 +78,9 @@ fn fabric_campaign(memoize: bool) -> (FabricOutcome, collie::core::eval::EvalSta
     let config = SearchConfig::collie(17)
         .with_budget(SimDuration::from_secs(2 * 3600))
         .with_memoization(memoize);
-    collie::core::fabric::run_fabric_search_with_stats(&mut engine, &space, &config)
+    let (outcome, profile) =
+        collie::core::fabric::run_fabric_search_with_stats(&mut engine, &space, &config);
+    (outcome, profile.stats)
 }
 
 /// The PR 2 guarantee, extended to the fabric path: a fabric campaign's

@@ -1,7 +1,7 @@
 //! Property-based tests for the generic MFS extractor
-//! (`collie_core::search::kernel::MfsExtractor`), exercised through both of
-//! its domain bindings: the two-host `monitor::MfsExtractor` and the fabric
-//! `fabric::FabricMfsExtractor`.
+//! (`collie_core::search::kernel::MfsExtractor`), exercised over both
+//! domains: the two-host `search::WorkloadDomain` and the fabric
+//! `fabric::FabricDomain`.
 //!
 //! Sampled anomalous points are extracted and three invariants asserted:
 //!
@@ -17,15 +17,14 @@
 //! Seeds come from the PROPTEST_SEED-pinned proptest driver, so a red CI
 //! run reproduces locally with the same one-liner.
 
-use collie::core::fabric::{
-    assess_fabric, FabricEngine, FabricEvaluator, FabricMfs, FabricMfsExtractor,
-};
-use collie::core::monitor::ExtractionOutcome;
+use collie::core::fabric::{assess_fabric, FabricDomain, FabricEngine, FabricEvaluator, FabricMfs};
+use collie::core::search::kernel::{ExtractionParts, MfsExtractor};
+use collie::core::search::WorkloadDomain;
 use collie::core::space::{Feature, FeatureValue};
 use collie::prelude::*;
 use collie::sim::rng::SimRng;
 use collie_core::eval::Evaluator;
-use collie_core::monitor::{FeatureCondition, MfsExtractor};
+use collie_core::monitor::FeatureCondition;
 use proptest::prelude::*;
 
 fn space_f() -> SearchSpace {
@@ -95,14 +94,17 @@ fn two_host_distinguishing(
     })
 }
 
-fn extract_two_host(point: &SearchPoint) -> Option<(ExtractionOutcome, Symptom)> {
+fn extract_two_host(point: &SearchPoint) -> Option<(ExtractionParts<Mfs>, Symptom)> {
     let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
     let monitor = AnomalyMonitor::new();
     let space = space_f();
     let mut evaluator = Evaluator::new(&mut engine);
     let symptom = evaluator.measure_and_assess(&monitor, point).1.symptom?;
-    let mut extractor = MfsExtractor::new(&mut evaluator, &monitor, &space);
-    Some((extractor.extract(point, symptom), symptom))
+    let mut domain = WorkloadDomain::new(&mut evaluator, &monitor, &space, SignalMode::Diagnostic);
+    Some((
+        MfsExtractor::new(&mut domain).extract(point, &symptom),
+        symptom,
+    ))
 }
 
 proptest! {
@@ -174,8 +176,8 @@ proptest! {
             return Ok(());
         };
         let mut evaluator = FabricEvaluator::new(&mut engine);
-        let mut extractor = FabricMfsExtractor::new(&mut evaluator, &monitor, &space);
-        let outcome = extractor.extract(&point, symptom, verdict.cross_host);
+        let mut domain = FabricDomain::new(&mut evaluator, &monitor, &space, SignalMode::Diagnostic);
+        let outcome = MfsExtractor::new(&mut domain).extract(&point, &(symptom, verdict.cross_host));
         let mfs: &FabricMfs = &outcome.mfs;
 
         prop_assert!(mfs.matches(&point), "{} does not cover {point}", mfs.describe());

@@ -146,9 +146,14 @@ proptest! {
         prop_assert_eq!(verdict.symptom, Some(anomaly.symptom));
 
         let mut evaluator = collie::core::eval::Evaluator::new(&mut engine);
-        let mut extractor =
-            collie::core::monitor::MfsExtractor::new(&mut evaluator, &monitor, &space);
-        let outcome = extractor.extract(&anomaly.trigger, anomaly.symptom);
+        let mut domain = collie::core::search::WorkloadDomain::new(
+            &mut evaluator,
+            &monitor,
+            &space,
+            SignalMode::Diagnostic,
+        );
+        let outcome = collie::core::search::kernel::MfsExtractor::new(&mut domain)
+            .extract(&anomaly.trigger, &anomaly.symptom);
 
         // The anomalous point satisfies its own MFS.
         prop_assert!(outcome.mfs.matches(&anomaly.trigger), "{}", outcome.mfs.describe());
