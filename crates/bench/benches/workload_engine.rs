@@ -43,11 +43,8 @@ fn bench_space_operations(c: &mut Criterion) {
     });
 }
 
-/// The incremental-evaluation ablation on a seeded single-knob mutation
-/// chain — the same access pattern a campaign's proposal stream produces.
-/// `chain/scratch` keeps the delta caches off, `chain/incremental` turns
-/// them on; both cycle through an identical pre-built chain so the only
-/// difference is per-flow / per-direction stage reuse.
+/// One warm engine cycling through a seeded single-knob mutation chain —
+/// the same access pattern a campaign's proposal stream produces.
 fn bench_mutation_chain(c: &mut Criterion) {
     let space = SearchSpace::for_host(&SubsystemId::F.host());
     let mut rng = SimRng::new(collie_bench::DEFAULT_SEEDS[0]);
@@ -57,18 +54,15 @@ fn bench_mutation_chain(c: &mut Criterion) {
         point = space.mutate(&point, &mut rng);
         chain.push(point.clone());
     }
-    for (label, incremental) in [("chain/scratch", false), ("chain/incremental", true)] {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        engine.set_incremental(incremental);
-        let mut index = 0usize;
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                let measurement = black_box(engine.measure(black_box(&chain[index])));
-                index = (index + 1) % chain.len();
-                measurement
-            })
-        });
-    }
+    let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
+    let mut index = 0usize;
+    c.bench_function("chain/scratch", |b| {
+        b.iter(|| {
+            let measurement = black_box(engine.measure(black_box(&chain[index])));
+            index = (index + 1) % chain.len();
+            measurement
+        })
+    });
 }
 
 fn bench_mfs_extraction(c: &mut Criterion) {

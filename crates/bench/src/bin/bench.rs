@@ -243,15 +243,11 @@ fn eval_cache_bench(subsystem: SubsystemId, mode: &str, budget: SimDuration) -> 
 
 /// The raw flow-model bench: per-call latency of `WorkloadEngine::measure`
 /// on a benign and an anomalous workload with no cache anywhere, plus the
-/// incremental ablation — the same seeded single-knob mutation chain
-/// measured three ways: from scratch (a fresh engine per point, the
-/// baseline the differential suite also compares against), on one warm
-/// engine with the delta caches off, and on one warm engine with the delta
-/// caches on. The chain is what a campaign's proposal stream looks like
-/// (each point differs from its predecessor in exactly one knob), so the
-/// chain-fresh / chain-incremental throughput ratio is the headline the
-/// acceptance gate tracks; chain-scratch isolates how much of it comes
-/// from reuse rather than from keeping the engine alive.
+/// same seeded single-knob mutation chain measured two ways: on a fresh
+/// engine per point (`chain-fresh`) and on one warm engine
+/// (`chain-scratch`). The chain is what a campaign's proposal stream looks
+/// like (each point differs from its predecessor in exactly one knob), so
+/// the two cells show what keeping the engine alive is worth.
 fn workload_engine_bench(subsystem: SubsystemId, mode: &str, iterations: usize) -> BenchReport {
     let anomalous = {
         let mut point = SearchPoint::benign();
@@ -263,47 +259,39 @@ fn workload_engine_bench(subsystem: SubsystemId, mode: &str, iterations: usize) 
         point.messages = vec![2048];
         point
     };
-    let run_cell =
-        |label: &str, incremental: bool, fresh: bool, points: &dyn Fn(usize) -> SearchPoint| {
-            let mut engine = WorkloadEngine::for_catalog(subsystem);
-            engine.set_incremental(incremental);
-            let mut nanos = Vec::with_capacity(iterations);
-            let started = Instant::now();
-            for i in 0..iterations {
-                let point = points(i);
-                let call = Instant::now();
-                if fresh {
-                    // From-scratch evaluation: the engine is rebuilt per point,
-                    // so nothing can carry over between measurements.
-                    engine = WorkloadEngine::for_catalog(subsystem);
-                }
-                let _ = engine.measure(&point);
-                nanos.push(call.elapsed().as_nanos() as u64);
+    let run_cell = |label: &str, fresh: bool, points: &dyn Fn(usize) -> SearchPoint| {
+        let mut engine = WorkloadEngine::for_catalog(subsystem);
+        let mut nanos = Vec::with_capacity(iterations);
+        let started = Instant::now();
+        for i in 0..iterations {
+            let point = points(i);
+            let call = Instant::now();
+            if fresh {
+                // A fresh engine per point: nothing carries over between
+                // measurements.
+                engine = WorkloadEngine::for_catalog(subsystem);
             }
-            BenchCell::new(
-                label,
-                0,
-                started.elapsed().as_secs_f64(),
-                EvalStats {
-                    hits: 0,
-                    misses: iterations as u64,
-                },
-                &nanos,
-            )
-        };
+            let _ = engine.measure(&point);
+            nanos.push(call.elapsed().as_nanos() as u64);
+        }
+        BenchCell::new(
+            label,
+            0,
+            started.elapsed().as_secs_f64(),
+            EvalStats {
+                hits: 0,
+                misses: iterations as u64,
+            },
+            &nanos,
+        )
+    };
     let benign = SearchPoint::benign();
     let chain = mutation_chain(subsystem, iterations);
-    // The incremental leg honours COLLIE_INCREMENTAL so the CI env leg
-    // genuinely exercises the from-scratch path end to end.
-    let incremental_mode = SearchConfig::default_incremental();
     let cells = vec![
-        run_cell("benign", false, false, &|_| benign.clone()),
-        run_cell("anomalous", false, false, &|_| anomalous.clone()),
-        run_cell("chain-fresh", false, true, &|i| chain[i].clone()),
-        run_cell("chain-scratch", false, false, &|i| chain[i].clone()),
-        run_cell("chain-incremental", incremental_mode, false, &|i| {
-            chain[i].clone()
-        }),
+        run_cell("benign", false, &|_| benign.clone()),
+        run_cell("anomalous", false, &|_| anomalous.clone()),
+        run_cell("chain-fresh", true, &|i| chain[i].clone()),
+        run_cell("chain-scratch", false, &|i| chain[i].clone()),
     ];
     BenchReport {
         name: "workload_engine".to_string(),

@@ -25,7 +25,6 @@ use collie_core::remedy::{
 };
 use collie_core::search::{run_search_with_stats, SearchConfig, SearchOutcome};
 use collie_core::space::{FabricSpace, SearchSpace};
-use collie_rnic::subsystem::IncrementalUse;
 use collie_rnic::subsystems::SubsystemId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -183,9 +182,6 @@ pub struct MatrixCell<O> {
     /// One wall-clock latency (ns) per engine compute on the cell's commit
     /// thread.
     pub compute_nanos: Vec<u64>,
-    /// Incremental stage-reuse counters of the cell's engine (all zero
-    /// when incremental evaluation is off).
-    pub incremental: IncrementalUse,
 }
 
 /// A finished campaign matrix: the cells in matrix order and, when
@@ -279,7 +275,6 @@ fn matrix_report<E, S, O: Send>(
             stats: profile.stats,
             wall_secs: started.elapsed().as_secs_f64(),
             compute_nanos: profile.compute_nanos,
-            incremental: profile.incremental,
         }
     });
     let qualification = options.qualify.then(|| {

@@ -87,33 +87,26 @@ impl WorkloadEngine {
     ///
     /// The qualifier ([`crate::remedy`]) re-measures on a fresh fork per
     /// mitigation step. `Subsystem` is `Clone`, but a clone would share the
-    /// counter registry handle with the original. The fork instead
-    /// reassembles the subsystem from its configuration, giving it a fresh
-    /// registry, counters, switch and empty delta caches —
-    /// [`WorkloadEngine::measure`]'s determinism contract guarantees the
-    /// fork measures identically to its parent.
+    /// counter registry handle with the original, so measuring on it would
+    /// overwrite the original's counters. The fork instead reassembles the
+    /// subsystem from its configuration, giving it its own registry,
+    /// counters and switch — [`WorkloadEngine::measure`]'s determinism
+    /// contract guarantees the fork measures identically to its parent.
     pub fn fork(&self) -> Self {
         let s = &self.subsystem;
-        let mut engine = WorkloadEngine::new(Subsystem::new(
+        WorkloadEngine::new(Subsystem::new(
             s.name.clone(),
             s.rnic.clone(),
             s.host_a.clone(),
             s.host_b.clone(),
-        ));
-        // The incremental mode travels with the fork (its delta caches
-        // start empty; they refill as the fork measures).
-        engine.set_incremental(s.incremental());
-        engine
+        ))
     }
 
-    /// Enable or disable the subsystem's incremental evaluation path.
-    /// Measurements are byte-identical either way; on only caches per-flow
-    /// and per-direction stage results between calls. Off by default, so
-    /// raw `measure` users (e.g. the from-scratch bench baseline) keep
-    /// rebuilding the full model.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.subsystem.set_incremental(enabled);
-    }
+    /// Does nothing. It toggled the incremental delta caches, which were
+    /// removed (DESIGN.md §11): every measurement runs the flow model from
+    /// scratch. Kept only because the campaign benchmark still calls it;
+    /// ROADMAP's next benchmark revision deletes it.
+    pub fn set_incremental(&mut self, _enabled: bool) {}
 
     /// The subsystem under test.
     pub fn subsystem(&self) -> &Subsystem {
@@ -511,18 +504,6 @@ mod tests {
             .run_via_verbs(&p)
             .expect("tiny messages must not underflow the SGE split");
         assert!(m.total_throughput().bits_per_sec() >= 0.0);
-    }
-
-    #[test]
-    fn forks_inherit_the_incremental_mode() {
-        let mut e = engine();
-        assert!(!e.fork().subsystem().incremental());
-        e.set_incremental(true);
-        let mut fork = e.fork();
-        assert!(fork.subsystem().incremental());
-        // And the fork still measures identically to its parent.
-        let p = SearchPoint::benign();
-        assert_eq!(e.measure(&p), fork.measure(&p));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! The parsers are separated from the env reads so they can be tested
 //! without mutating process-global state under a parallel test runner;
-//! the typed readers ([`memoize`], [`incremental`], [`workers`]) are the
+//! the typed readers ([`memoize`], [`workers`]) are the
 //! only places in the workspace that actually read a `COLLIE_*` variable.
 
 /// One registered environment hook: the variable name, its default when
@@ -30,20 +30,13 @@ pub struct Hook {
 /// Every `COLLIE_*` hook the workspace honours. `collie-lint` rejects any
 /// env read whose name is missing here, and checks each entry is
 /// documented in the README table.
-pub const HOOKS: [Hook; 3] = [
+pub const HOOKS: [Hook; 2] = [
     Hook {
         name: "COLLIE_MEMOIZE",
         default: "on",
         grammar: "`0` / `false` / `off` (case-insensitive) disable; anything else is on",
         doc: "Constructor default for measurement memoization; outcomes are \
               bit-identical either way (CI runs an uncached leg).",
-    },
-    Hook {
-        name: "COLLIE_INCREMENTAL",
-        default: "on",
-        grammar: "`0` / `false` / `off` (case-insensitive) disable; anything else is on",
-        doc: "Constructor default for the engine's delta-cached evaluation \
-              path; cached stage results are bit-identical to recomputed ones.",
     },
     Hook {
         name: "COLLIE_WORKERS",
@@ -72,11 +65,6 @@ pub fn memoize() -> bool {
     parse_memoize(read("COLLIE_MEMOIZE").as_deref())
 }
 
-/// The process-wide `COLLIE_INCREMENTAL` setting (see [`HOOKS`]).
-pub fn incremental() -> bool {
-    parse_incremental(read("COLLIE_INCREMENTAL").as_deref())
-}
-
 /// The process-wide `COLLIE_WORKERS` override (see [`HOOKS`]); `None`
 /// when unset or malformed (the caller falls back to the automatic
 /// width).
@@ -88,26 +76,6 @@ pub fn workers() -> Option<usize> {
 /// so an operator's `COLLIE_MEMOIZE=OFF` cannot silently leave the cache
 /// on.
 pub fn parse_memoize(value: Option<&str>) -> bool {
-    parse_enabled(value)
-}
-
-/// `COLLIE_INCREMENTAL` parser. Same grammar as [`parse_memoize`]:
-/// disable values are matched case-insensitively so an operator's
-/// `COLLIE_INCREMENTAL=OFF` cannot silently leave the delta caches on.
-pub fn parse_incremental(value: Option<&str>) -> bool {
-    parse_enabled(value)
-}
-
-/// `COLLIE_WORKERS` parser. Positive integers are honoured as-is; `0`
-/// clamps to 1 (a pool cannot be empty); anything unparsable falls back
-/// to the automatic width.
-pub fn parse_workers(value: Option<&str>) -> Option<usize> {
-    value?.trim().parse::<usize>().ok().map(|n| n.max(1))
-}
-
-/// The shared on-unless-disabled grammar of `COLLIE_MEMOIZE` and
-/// `COLLIE_INCREMENTAL`.
-fn parse_enabled(value: Option<&str>) -> bool {
     match value {
         Some(value) => {
             let value = value.trim();
@@ -117,6 +85,13 @@ fn parse_enabled(value: Option<&str>) -> bool {
         }
         None => true,
     }
+}
+
+/// `COLLIE_WORKERS` parser. Positive integers are honoured as-is; `0`
+/// clamps to 1 (a pool cannot be empty); anything unparsable falls back
+/// to the automatic width.
+pub fn parse_workers(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse::<usize>().ok().map(|n| n.max(1))
 }
 
 #[cfg(test)]
@@ -158,29 +133,6 @@ mod tests {
             (None, true),
         ] {
             assert_eq!(parse_memoize(value), expected, "COLLIE_MEMOIZE={value:?}");
-        }
-    }
-
-    #[test]
-    fn incremental_parser_honours_the_toggle_values() {
-        // CI exports COLLIE_INCREMENTAL=0 for the from-scratch matrix leg;
-        // this pins the parser without touching process-global state.
-        for (value, expected) in [
-            (Some("0"), false),
-            (Some("false"), false),
-            (Some("off"), false),
-            (Some("OFF"), false),
-            (Some("False"), false),
-            (Some(" 0 "), false),
-            (Some("1"), true),
-            (Some("on"), true),
-            (None, true),
-        ] {
-            assert_eq!(
-                parse_incremental(value),
-                expected,
-                "COLLIE_INCREMENTAL={value:?}"
-            );
         }
     }
 

@@ -22,7 +22,7 @@ use crate::engine::{Engine, WorkloadEngine};
 use crate::monitor::AnomalyMonitor;
 use crate::space::{FabricPoint, SearchPoint};
 use collie_rnic::fabric::FabricMeasurement;
-use collie_rnic::subsystem::{IncrementalUse, Measurement, Subsystem};
+use collie_rnic::subsystem::{Measurement, Subsystem};
 use collie_rnic::subsystems::SubsystemId;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -214,11 +214,6 @@ pub struct EvalProfile {
     /// ran itself. Nanoseconds, not microseconds: a call takes 1–7 µs, so
     /// whole-microsecond samples would truncate to a handful of integers.
     pub compute_nanos: Vec<u64>,
-    /// Incremental stage-reuse counters of the underlying subsystem (all
-    /// zero when incremental evaluation is off). These *describe* the
-    /// execution; the bit-identity contract lives in `stats` and the
-    /// measurements themselves.
-    pub incremental: IncrementalUse,
 }
 
 /// A matrix-scoped evaluation context: one bundle of [`SharedCache`]s that
@@ -480,13 +475,11 @@ impl<'e, E: Engine> Evaluator<'e, E> {
         self.shared_use
     }
 
-    /// The full execution profile: stats, per-compute wall-clock, and the
-    /// engine's incremental reuse.
+    /// The full execution profile: stats and per-compute wall-clock.
     pub fn profile(&self) -> EvalProfile {
         EvalProfile {
             stats: self.stats,
             compute_nanos: self.compute_nanos.clone(),
-            incremental: self.engine.subsystem().incremental_use(),
         }
     }
 
@@ -672,19 +665,6 @@ pub(crate) mod tests {
         evaluator.measure(&p);
         assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 2 });
         assert_eq!(evaluator.cached_points(), 2);
-    }
-
-    #[test]
-    fn profile_reports_the_engines_incremental_reuse() {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        engine.set_incremental(true);
-        let mut evaluator = Evaluator::uncached(&mut engine);
-        let p = SearchPoint::benign();
-        let _ = evaluator.measure(&p);
-        let _ = evaluator.measure(&p);
-        let profile = evaluator.profile();
-        assert!(profile.incremental.total_hits() > 0);
-        assert!(profile.incremental.total_misses() > 0);
     }
 
     #[test]

@@ -364,7 +364,6 @@ pub fn run_fabric_search_with_stats(
         ..config.clone()
     };
     let monitor = AnomalyMonitor::new();
-    engine.set_incremental(config.incremental);
     let mut evaluator = if config.memoize {
         FabricEvaluator::new(engine)
     } else {

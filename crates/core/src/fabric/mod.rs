@@ -79,11 +79,10 @@ impl FabricEngine {
         &self.engine
     }
 
-    /// Toggle incremental evaluation on the wrapped two-host engine (see
-    /// [`WorkloadEngine::set_incremental`]).
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.engine.set_incremental(enabled);
-    }
+    /// Does nothing, like [`WorkloadEngine::set_incremental`]: kept only
+    /// because the campaign benchmark still calls it; ROADMAP's next
+    /// benchmark revision deletes it.
+    pub fn set_incremental(&mut self, _enabled: bool) {}
 
     /// The benign-fabric reference measurement.
     pub fn baseline(&self) -> &Measurement {

@@ -31,11 +31,11 @@
 //!   replays every cleared record so a trigger that goes anomalous again is
 //!   flagged as a [`RegressionFlag`].
 //!
-//! Every measurement happens on a fork of the engine: the incremental
-//! delta caches key on workload features and treat the subsystem
-//! configuration as fixed, so a mitigation must never be applied to an
-//! engine that has already measured (the fork starts with cold caches and
-//! the correct mitigated configuration).
+//! Every measurement happens on a fork of the engine: a subsystem-level
+//! mitigation rewrites the configuration it is applied to, and an
+//! [`Evaluator`]'s memo keys on the point alone, so each step applies its
+//! cumulative mitigations to a fresh fork, measures through a fresh
+//! evaluator, and leaves the caller's engine unmitigated.
 
 use crate::advisor::Advisor;
 use crate::catalog::KnownAnomaly;
@@ -302,9 +302,9 @@ impl Qualifier {
         for mitigation in sequence {
             applied.push(mitigation);
             mitigation.apply_to_workload(&mut workload);
-            // Fresh fork per step: the delta caches assume a fixed
-            // subsystem configuration, so the cumulative mitigations are
-            // applied before the fork ever measures.
+            // Fresh fork per step: the caller's engine stays unmitigated,
+            // and the step's memo never holds a measurement taken under a
+            // different configuration.
             let mut stepped = engine.fork();
             for m in &applied {
                 m.apply_to_subsystem(stepped.subsystem_mut());

@@ -101,8 +101,7 @@ pub struct SearchConfig {
     /// the constructor default so CI can run the whole suite uncached and
     /// cache divergence can never hide behind the default. Tests that
     /// assert cache *statistics* must pin the toggle with
-    /// [`SearchConfig::with_memoization`]. Like
-    /// [`SearchConfig::incremental`], the knob is an execution detail
+    /// [`SearchConfig::with_memoization`]. The knob is an execution detail
     /// excluded from serialization, so it cannot leak into golden
     /// fixtures; deserialized configs fall back to the uncached path,
     /// which is always correct.
@@ -135,18 +134,11 @@ pub struct SearchConfig {
     /// pre-kernel two-host containment-only dedup for the golden-trace
     /// compatibility grids.
     pub identity_dedup: bool,
-    /// Whether the engine's incremental evaluation path is enabled: the
-    /// subsystem caches per-flow rule reports and per-direction fluid
-    /// outcomes so a one-knob mutation recomputes only the stages the
-    /// changed flow feeds (DESIGN.md §11). Purely an execution strategy —
-    /// cached stage results are bit-identical to recomputed ones, so the
-    /// campaign output is byte-for-byte the same either way — hence, like
-    /// [`SearchConfig::memoize`], the knob is excluded from
-    /// serialization and cannot leak into golden fixtures.
-    ///
-    /// Defaults to on; the `COLLIE_INCREMENTAL` environment variable
-    /// disables it (`0`, `false`, or `off`) so CI can run the whole suite
-    /// through the from-scratch path.
+    /// Inert: every constructor sets it to `false` and nothing in the
+    /// workspace reads it. It selected the incremental delta caches, which
+    /// were removed (DESIGN.md §11). Kept only because the campaign
+    /// benchmark still reads it; ROADMAP's next benchmark revision deletes
+    /// it.
     #[serde(skip)]
     pub incremental: bool,
 }
@@ -169,7 +161,7 @@ impl SearchConfig {
             iterations_per_temperature: 8,
             stuck_skip_limit: Some(24),
             identity_dedup: true,
-            incremental: SearchConfig::default_incremental(),
+            incremental: false,
         }
     }
 
@@ -228,15 +220,6 @@ impl SearchConfig {
         self
     }
 
-    /// Enable or disable the engine's incremental evaluation path (see
-    /// [`SearchConfig::incremental`]). Tests that assert stage-reuse
-    /// counters must pin the toggle here rather than rely on the
-    /// environment-dependent default.
-    pub fn with_incremental(mut self, incremental: bool) -> SearchConfig {
-        self.incremental = incremental;
-        self
-    }
-
     /// The pre-kernel two-host campaign semantics: no stuck-walk escape
     /// and containment-only discovery dedup. The golden-trace suite runs
     /// the fig4/fig5 grids in this mode to prove the kernel unification
@@ -276,15 +259,6 @@ impl SearchConfig {
     pub fn default_memoize() -> bool {
         crate::env::memoize()
     }
-
-    /// The constructor default for [`SearchConfig::incremental`]: on,
-    /// unless the `COLLIE_INCREMENTAL` environment variable disables it
-    /// (`0`, `false`, or `off`) so CI can run the whole suite through the
-    /// from-scratch path. A thin wrapper over the [`crate::env`]
-    /// registry.
-    pub fn default_incremental() -> bool {
-        crate::env::incremental()
-    }
 }
 
 /// Run one search campaign on a subsystem.
@@ -298,15 +272,14 @@ pub fn run_search(
 
 /// Run one search campaign through its own memo cache and also return the
 /// evaluator's [`EvalProfile`]: the cache statistics (the outcome itself is
-/// independent of the cache), per-compute latencies and incremental-reuse
-/// counters the perf harnesses report.
+/// independent of the cache) and per-compute latencies the perf harnesses
+/// report.
 pub fn run_search_with_stats(
     engine: &mut WorkloadEngine,
     space: &SearchSpace,
     config: &SearchConfig,
 ) -> (SearchOutcome, EvalProfile) {
     let monitor = AnomalyMonitor::new();
-    engine.set_incremental(config.incremental);
     let mut evaluator = if config.memoize {
         Evaluator::new(engine)
     } else {
@@ -428,18 +401,14 @@ mod tests {
         // asserts the constructor defaults read through the registry (the
         // same process environment must produce the same answers).
         assert_eq!(SearchConfig::default_memoize(), crate::env::memoize());
-        assert_eq!(
-            SearchConfig::default_incremental(),
-            crate::env::incremental()
-        );
     }
 
     #[test]
     fn memoize_knob_never_serializes_into_fixtures() {
-        // Like incremental evaluation, memoization is an execution
-        // detail: a recorded golden fixture must not change because the
-        // recording host had COLLIE_MEMOIZE set, and deserialized configs
-        // fall back to the always-correct uncached path.
+        // Memoization is an execution detail: a recorded golden fixture
+        // must not change because the recording host had COLLIE_MEMOIZE
+        // set, and deserialized configs fall back to the always-correct
+        // uncached path.
         let config = SearchConfig::collie(1).with_memoization(true);
         let json = serde_json::to_string(&config).unwrap();
         assert!(!json.contains("memoize"), "knob leaked into JSON: {json}");
@@ -448,58 +417,18 @@ mod tests {
     }
 
     #[test]
-    fn incremental_knob_does_not_change_the_outcome_or_the_stats() {
-        // Facade-level statement of the tentpole contract: cached stage
-        // results substitute bit-identically for recomputed ones, so the
-        // public entry point's outcome and evaluator statistics are
-        // byte-for-byte equal with the knob on or off.
-        let space = SearchSpace::for_host(&SubsystemId::F.host());
-        for strategy in [
-            SearchStrategy::Random,
-            SearchStrategy::SimulatedAnnealing,
-            SearchStrategy::Bayesian,
-        ] {
-            let config = SearchConfig {
-                strategy,
-                ..SearchConfig::collie(17)
-            }
-            .with_budget(SimDuration::from_secs(3600))
-            .with_memoization(true)
-            .with_incremental(false);
-            let mut scratch_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-            let (scratch, scratch_profile) =
-                run_search_with_stats(&mut scratch_engine, &space, &config);
-            let mut inc_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-            let (incremental, incremental_profile) = run_search_with_stats(
-                &mut inc_engine,
-                &space,
-                &config.clone().with_incremental(true),
-            );
-            assert_eq!(scratch, incremental, "{strategy:?}");
-            assert_eq!(
-                scratch_profile.stats, incremental_profile.stats,
-                "{strategy:?}"
-            );
-            assert!(
-                inc_engine.subsystem().incremental_use().total_hits() > 0,
-                "{strategy:?}: the incremental leg never reused a stage"
-            );
-        }
-    }
-
-    #[test]
     fn incremental_knob_never_serializes_into_fixtures() {
-        // Same rationale as the memoize knob: an execution detail must
-        // not change a recorded fixture, and deserialized configs fall
-        // back to the from-scratch path.
-        let config = SearchConfig::collie(1).with_incremental(true);
+        // The inert field stays `#[serde(skip)]` until it is deleted, so
+        // setting it can never change a recorded fixture.
+        let config = SearchConfig {
+            incremental: true,
+            ..SearchConfig::collie(1)
+        };
         let json = serde_json::to_string(&config).unwrap();
         assert!(
             !json.contains("incremental"),
             "knob leaked into JSON: {json}"
         );
-        let back: SearchConfig = serde_json::from_str(&json).unwrap();
-        assert!(!back.incremental);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * **wall-clock** — deterministic crates never read real time;
 //! * **env-registry** — every `COLLIE_*` env read goes through the
-//!   [`collie_core::env::HOOKS`] registry, and every hook is documented
-//!   in the README;
+//!   [`collie_core::env::HOOKS`] registry, every hook is documented in the
+//!   README, and every README hook row names a registered hook;
 //! * **serde-skip** — execution-detail knobs never serialize into
 //!   fixtures;
 //! * **rng-clone** — campaign RNG state is never cloned in a
@@ -151,7 +151,8 @@ pub fn lint(workspace: &Workspace, options: &Options) -> LintReport {
         }
     }
 
-    // Env-registry, doc direction: every registered hook is documented.
+    // Env-registry, doc direction: every registered hook is documented,
+    // and every hook-table row documents a registered hook.
     if !allowed("env-registry") {
         match &workspace.readme {
             Some(readme) => {
@@ -166,6 +167,26 @@ pub fn lint(workspace: &Workspace, options: &Options) -> LintReport {
                                     "registered hook `{}` is missing from the README \
                                      environment-hook table",
                                     hook.name
+                                ),
+                            },
+                            "README.md",
+                        );
+                    }
+                }
+                for (index, line) in readme.lines().enumerate() {
+                    let Some(row) = line.strip_prefix("| `") else {
+                        continue;
+                    };
+                    let name = row.split('`').next().unwrap_or(row);
+                    if name.starts_with("COLLIE_") && collie_core::env::hook(name).is_none() {
+                        push(
+                            Candidate {
+                                rule: "env-registry",
+                                line: index + 1,
+                                column: 4,
+                                message: format!(
+                                    "README documents hook `{name}`, which is not registered \
+                                     in collie_core::env::HOOKS; drop the row or register it"
                                 ),
                             },
                             "README.md",
@@ -410,6 +431,26 @@ mod tests {
             .violations
             .iter()
             .all(|v| v.rule == "env-registry" && v.file == "README.md"));
+    }
+
+    #[test]
+    fn readme_rows_for_unregistered_hooks_are_reported() {
+        let mut workspace = ws(vec![("crates/core/src/x.rs", "pub fn f() {}")]);
+        // `ws` documents each registered hook on its own line; append one
+        // stale row and one registered row.
+        let mut readme = workspace.readme.take().unwrap_or_default();
+        readme.push_str("\n| `COLLIE_RETIRED` | on | any | gone |");
+        readme.push_str("\n| `COLLIE_MEMOIZE` | on | any | kept |");
+        workspace.readme = Some(readme);
+        let report = lint(&workspace, &Options::default());
+        let stale_row = collie_core::env::HOOKS.len() as u64 + 1;
+        assert_eq!(
+            fired(&report),
+            [("env-registry", "README.md", stale_row)],
+            "{:?}",
+            report.violations
+        );
+        assert!(report.violations[0].message.contains("`COLLIE_RETIRED`"));
     }
 
     #[test]

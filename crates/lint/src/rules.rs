@@ -38,8 +38,9 @@ pub const RULES: [RuleInfo; 8] = [
     RuleInfo {
         name: "env-registry",
         doc: "std::env::var(\"COLLIE_*\") must name a hook registered in \
-              collie_core::env::HOOKS, and every registered hook must be \
-              documented in README.md",
+              collie_core::env::HOOKS, every registered hook must be \
+              documented in README.md, and every README hook row must name \
+              a registered hook",
     },
     RuleInfo {
         name: "serde-skip",
@@ -226,8 +227,9 @@ fn is_collie_env_name(text: &str) -> bool {
 }
 
 /// D2 (code half): every literal `COLLIE_*` passed to `env::var` must be
-/// a registered hook. (The doc half — every hook appears in the README —
-/// is a workspace-level check in `lib.rs`.)
+/// a registered hook. (The doc half — every hook appears in the README and
+/// every README hook row is registered — is a workspace-level check in
+/// `lib.rs`.)
 fn check_env_registry(code: &[&Token], out: &mut Vec<Candidate>) {
     for (index, token) in code.iter().enumerate() {
         if token.kind != TokenKind::Str || !is_collie_env_name(&token.text) {

@@ -14,15 +14,13 @@ use crate::cache::miss_rate;
 use crate::counters::{diag, perf, RnicCounterBatch, RnicCounters};
 use crate::pfc::PauseAccount;
 use crate::spec::RnicSpec;
-use crate::workload::{Direction, FlowSpec, Opcode, Transport, WorkloadSpec};
-use collie_host::memory::MemoryTarget;
+use crate::workload::{Direction, FlowSpec, WorkloadSpec};
 use collie_host::switch::LosslessSwitch;
 use collie_host::topology::{DmaDirection, HostConfig};
 use collie_sim::counters::{CounterRegistry, CounterSnapshot};
 use collie_sim::time::SimDuration;
 use collie_sim::units::{BitRate, ByteSize, PacketRate};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Fraction of a receive deficit absorbed without emitting pause frames
 /// (start-up transients; see §5.2's rationale for a non-zero threshold).
@@ -31,373 +29,6 @@ const PAUSE_GRACE: f64 = 0.02;
 /// Scale applied to unit-less stress/miss fractions when publishing them as
 /// counter values (events per second); the search normalises anyway.
 const DIAG_SCALE: f64 = 1.0e6;
-
-/// Bound on each incremental stage cache. When a map reaches the cap it is
-/// cleared wholesale before the next insert — clearing only ever causes a
-/// recomputation of the identical value, never a different one, so the
-/// eviction policy needs no ordering bookkeeping to stay deterministic.
-const DELTA_CACHE_CAP: usize = 512;
-
-/// Reuse counters of the incremental evaluation path: how many per-flow
-/// rule-stage and per-direction fluid-stage computations were served from
-/// the delta caches vs. computed fresh. Purely execution-descriptive — the
-/// measurements themselves are byte-identical either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IncrementalUse {
-    /// Per-flow rule evaluations served from the delta cache.
-    pub flow_hits: u64,
-    /// Per-flow rule evaluations computed fresh (and then cached).
-    pub flow_misses: u64,
-    /// Per-direction fluid outcomes served from the delta cache.
-    pub direction_hits: u64,
-    /// Per-direction fluid outcomes computed fresh (and then cached).
-    pub direction_misses: u64,
-}
-
-impl IncrementalUse {
-    /// Total stage computations avoided.
-    pub fn total_hits(&self) -> u64 {
-        self.flow_hits + self.direction_hits
-    }
-
-    /// Total stage computations performed.
-    pub fn total_misses(&self) -> u64 {
-        self.flow_misses + self.direction_misses
-    }
-}
-
-/// FxHash-style multiply-rotate hasher for the delta caches. The cache keys
-/// are small fixed-shape structs of plain integers; SipHash's DoS hardening
-/// buys nothing against them and its per-call setup cost dominated the
-/// lookup path.
-#[derive(Default)]
-struct DeltaHasher(u64);
-
-impl std::hash::Hasher for DeltaHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(byte as u64);
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-type DeltaBuild = std::hash::BuildHasherDefault<DeltaHasher>;
-
-/// Small/large request thresholds of the message-mix predicate rules #9 and
-/// #10 share (`messages.mixes_small_and_large(1 KiB, 64 KiB)`).
-const SMALL_MSG_BYTES: u64 = 1024;
-const LARGE_MSG_BYTES: u64 = 64 * 1024;
-
-/// One-pass summary of a flow's message pattern at its MTU: every message
-/// projection either stage key reads, gathered in a single scan of the size
-/// window instead of one scan per projection. Each field reproduces the
-/// corresponding [`MessagePattern`](crate::workload::MessagePattern) method
-/// operation-for-operation, so keys built from a summary match keys built
-/// from the methods bit for bit.
-#[derive(Debug, Clone, Copy)]
-struct MsgSummary {
-    /// `mean_message_bytes().to_bits()`.
-    mean_bits: u64,
-    /// `mean_packets_per_message().to_bits()` (at the flow's MTU).
-    pkts_bits: u64,
-    /// `messages.max_size()`.
-    max: u64,
-    /// `messages.mixes_small_and_large(SMALL_MSG_BYTES, LARGE_MSG_BYTES)`.
-    mixes: bool,
-}
-
-impl MsgSummary {
-    fn of(flow: &FlowSpec) -> MsgSummary {
-        let sizes = flow.messages.sizes();
-        let mtu = (flow.mtu as u64).max(1);
-        let mut sum = 0u64;
-        let mut max = 0u64;
-        let mut pkts = 0.0f64;
-        let mut small = false;
-        let mut large = false;
-        for &size in sizes {
-            sum += size;
-            max = max.max(size);
-            pkts += size.div_ceil(mtu).max(1) as f64;
-            small |= size <= SMALL_MSG_BYTES;
-            large |= size >= LARGE_MSG_BYTES;
-        }
-        let count = sizes.len() as f64;
-        MsgSummary {
-            mean_bits: (sum as f64 / count).to_bits(),
-            pkts_bits: (pkts / count).to_bits(),
-            max,
-            mixes: small && large,
-        }
-    }
-}
-
-/// Workload-global projections the bottleneck rules read, computed once per
-/// evaluation in a single pass over the flows (the old per-flow key
-/// constructor re-scanned the whole flow list for each of them, per flow).
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkloadSig {
-    key: WorkloadSigKey,
-    /// Rule #13's co-existence condition, resolved per receiver host: some
-    /// non-loopback flow is received by host 0 / host 1.
-    rx_by_host: [bool; 2],
-}
-
-/// The part of [`WorkloadSig`] that enters [`FlowRuleKey`] directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-struct WorkloadSigKey {
-    /// `WorkloadSpec::is_bidirectional` (rules #9, #11, #14).
-    bidirectional: bool,
-    /// `bidirectional_for(w, Rc, Read)` (rule #4).
-    bidir_rc_read: bool,
-    /// `bidirectional_for(w, Rc, Write)` (rules #10, #18).
-    bidir_rc_write: bool,
-    /// `matching_qps(w, Rc, Read)` (rule #4).
-    qps_rc_read: u64,
-    /// `matching_qps(w, Rc, Write)` (rules #10, #18).
-    qps_rc_write: u64,
-    /// Workload-wide RC QP count (rule #14).
-    qps_rc_total: u64,
-}
-
-impl WorkloadSig {
-    fn of(workload: &WorkloadSpec) -> WorkloadSig {
-        let mut key = WorkloadSigKey {
-            bidirectional: workload.is_bidirectional(),
-            ..WorkloadSigKey::default()
-        };
-        let mut rc_read = [false; 2];
-        let mut rc_write = [false; 2];
-        let mut rx_by_host = [false; 2];
-        for flow in &workload.flows {
-            if !flow.direction.is_loopback() {
-                rx_by_host[flow.direction.receiver_host()] = true;
-            }
-            if flow.transport != Transport::Rc {
-                continue;
-            }
-            key.qps_rc_total += flow.num_qps as u64;
-            let direction = match flow.direction {
-                Direction::AToB => Some(0),
-                Direction::BToA => Some(1),
-                _ => None,
-            };
-            match flow.opcode {
-                Opcode::Read => {
-                    key.qps_rc_read += flow.num_qps as u64;
-                    if let Some(side) = direction {
-                        rc_read[side] = true;
-                    }
-                }
-                Opcode::Write => {
-                    key.qps_rc_write += flow.num_qps as u64;
-                    if let Some(side) = direction {
-                        rc_write[side] = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        key.bidir_rc_read = rc_read[0] && rc_read[1];
-        key.bidir_rc_write = rc_write[0] && rc_write[1];
-        WorkloadSig { key, rx_by_host }
-    }
-}
-
-/// Cache key of the per-flow rule stage: a by-value projection of
-/// everything [`evaluate_rules`] can read. Host and RNIC configuration are
-/// fixed per subsystem, so they are not part of the key. Two deliberate
-/// narrowings keep the key allocation-free and widen its reuse:
-///
-/// * the message pattern enters only through the three summaries the rules
-///   consume — mean size, max size, and the small/large mix predicate —
-///   never as the raw size vector;
-/// * the flow's direction enters only through the host pair it selects
-///   plus rule #13's loopback/co-existence conditions, so when both hosts
-///   are interchangeable the reverse flow of a symmetric bidirectional
-///   pair maps to the forward flow's entry.
-///
-/// If a future rule reads a new feature it must be added here — the
-/// differential suite in `tests/incremental_properties` is the tripwire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct FlowRuleKey {
-    transport: Transport,
-    opcode: Opcode,
-    num_qps: u32,
-    mtu: u32,
-    wqe_batch: u32,
-    sge_per_wqe: u32,
-    send_queue_depth: u32,
-    recv_queue_depth: u32,
-    total_mrs: u64,
-    msg_mean_bits: u64,
-    msg_max: u64,
-    /// `messages.mixes_small_and_large(1 KiB, 64 KiB)` — the threshold pair
-    /// rules #9 and #10 share.
-    msg_mixes: bool,
-    src_memory: MemoryTarget,
-    dst_memory: MemoryTarget,
-    /// `(sender, receiver)` host indices, canonicalised to `(0, 1)` for
-    /// non-loopback flows when the hosts are interchangeable.
-    hosts: (u8, u8),
-    loopback: bool,
-    remote_rx: bool,
-    sig: WorkloadSigKey,
-}
-
-impl FlowRuleKey {
-    fn of(
-        flow: &FlowSpec,
-        summary: &MsgSummary,
-        sig: &WorkloadSig,
-        symmetric: bool,
-    ) -> FlowRuleKey {
-        let loopback = flow.direction.is_loopback();
-        let hosts = if symmetric && !loopback {
-            (0, 1)
-        } else {
-            (
-                flow.direction.sender_host() as u8,
-                flow.direction.receiver_host() as u8,
-            )
-        };
-        FlowRuleKey {
-            transport: flow.transport,
-            opcode: flow.opcode,
-            num_qps: flow.num_qps,
-            mtu: flow.mtu,
-            wqe_batch: flow.wqe_batch,
-            sge_per_wqe: flow.sge_per_wqe,
-            send_queue_depth: flow.send_queue_depth,
-            recv_queue_depth: flow.recv_queue_depth,
-            total_mrs: flow.total_mrs(),
-            msg_mean_bits: summary.mean_bits,
-            msg_max: summary.max,
-            msg_mixes: summary.mixes,
-            src_memory: flow.src_memory,
-            dst_memory: flow.dst_memory,
-            hosts,
-            loopback,
-            remote_rx: sig.rx_by_host[flow.direction.receiver_host()],
-            sig: sig.key,
-        }
-    }
-}
-
-/// Per-flow projection of everything the fluid stage reads from one flow.
-/// The message pattern enters only through its mean request size and mean
-/// packets-per-request (already resolved at the flow's MTU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct FluidFlowKey {
-    num_qps: u32,
-    mtu: u32,
-    msg_mean_bits: u64,
-    msg_pkts_bits: u64,
-    src_memory: MemoryTarget,
-    dst_memory: MemoryTarget,
-}
-
-impl FluidFlowKey {
-    fn of(flow: &FlowSpec, summary: &MsgSummary) -> FluidFlowKey {
-        FluidFlowKey {
-            num_qps: flow.num_qps,
-            mtu: flow.mtu,
-            msg_mean_bits: summary.mean_bits,
-            msg_pkts_bits: summary.pkts_bits,
-            src_memory: flow.src_memory,
-            dst_memory: flow.dst_memory,
-        }
-    }
-}
-
-/// Cache key of the per-direction fluid stage: the direction, the
-/// bidirectional processing-share flag, and the narrow projection of each
-/// flow in that direction (in workload order). Knobs the fluid model never
-/// reads — transport, opcode, WQE batch, SG length, queue depths, MR
-/// layout — are deliberately absent, which is what makes one-knob mutations
-/// of those features hit this cache. The fluid model reads the direction
-/// only to pick its sender/receiver hosts, so non-loopback directions are
-/// canonicalised to A→B when the hosts are interchangeable.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct FluidKey {
-    direction: Direction,
-    bidirectional: bool,
-    flows: FluidFlowsKey,
-}
-
-/// The flow list of a [`FluidKey`]. The engine's point translation emits at
-/// most one flow per direction, so the single-flow case is inlined without
-/// a heap allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum FluidFlowsKey {
-    One(FluidFlowKey),
-    Many(Vec<FluidFlowKey>),
-}
-
-impl FluidKey {
-    fn of(
-        direction: Direction,
-        flows: &[&FlowSpec],
-        summaries: &[MsgSummary],
-        sig: &WorkloadSig,
-        symmetric: bool,
-    ) -> FluidKey {
-        let direction = if symmetric && !direction.is_loopback() {
-            Direction::AToB
-        } else {
-            direction
-        };
-        let flows = if let ([only], [summary]) = (flows, summaries) {
-            FluidFlowsKey::One(FluidFlowKey::of(only, summary))
-        } else {
-            FluidFlowsKey::Many(
-                flows
-                    .iter()
-                    .zip(summaries)
-                    .map(|(f, s)| FluidFlowKey::of(f, s))
-                    .collect(),
-            )
-        };
-        FluidKey {
-            direction,
-            bidirectional: sig.key.bidirectional,
-            flows,
-        }
-    }
-}
-
-/// The fluid stage's pure result: offered and drain rates (bits/s) before
-/// rule effects and host-level PCIe sharing are applied.
-#[derive(Debug, Clone, Copy)]
-struct DirectionFluid {
-    offered_bps: f64,
-    drain_bps: f64,
-    mean_packet_bytes: f64,
-}
 
 /// Throughput and packet rate achieved by one traffic direction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -474,10 +105,6 @@ pub struct Subsystem {
     pub switch: LosslessSwitch,
     registry: CounterRegistry,
     counters: RnicCounters,
-    incremental: bool,
-    flow_cache: HashMap<FlowRuleKey, Vec<StressReport>, DeltaBuild>,
-    fluid_cache: HashMap<FluidKey, DirectionFluid, DeltaBuild>,
-    inc_use: IncrementalUse,
 }
 
 struct DirectionOutcome {
@@ -506,34 +133,7 @@ impl Subsystem {
             switch,
             registry,
             counters,
-            incremental: false,
-            flow_cache: HashMap::default(),
-            fluid_cache: HashMap::default(),
-            inc_use: IncrementalUse::default(),
         }
-    }
-
-    /// Enable or disable the incremental evaluation path. Off by default;
-    /// measurements are byte-identical either way — the switch only decides
-    /// whether per-flow and per-direction stage results are cached between
-    /// [`Subsystem::evaluate`] calls. Disabling drops the caches.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.incremental = enabled;
-        if !enabled {
-            self.flow_cache.clear();
-            self.fluid_cache.clear();
-        }
-    }
-
-    /// Whether the incremental evaluation path is enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
-    }
-
-    /// Cumulative delta-cache reuse counters (never reset by
-    /// [`Subsystem::evaluate`]'s per-experiment counter reset).
-    pub fn incremental_use(&self) -> IncrementalUse {
-        self.inc_use
     }
 
     /// A handle to the counter registry (what the vendor monitoring daemon
@@ -557,24 +157,6 @@ impl Subsystem {
         (sender, receiver)
     }
 
-    /// Whether hosts A and B are indistinguishable to the evaluation: every
-    /// field the rules or the fluid model can read compares equal. Name,
-    /// BIOS and kernel strings are cosmetic (the fabric layer renames
-    /// cloned hosts per index) and deliberately excluded. When true, the
-    /// delta-cache keys canonicalise non-loopback directions, so the
-    /// reverse leg of a symmetric bidirectional pair reuses the forward
-    /// leg's entries.
-    fn hosts_interchangeable(&self) -> bool {
-        let (a, b) = (&self.host_a, &self.host_b);
-        a.cpu == b.cpu
-            && a.pcie_link == b.pcie_link
-            && a.pcie_settings == b.pcie_settings
-            && a.ddio == b.ddio
-            && a.rnic_socket == b.rnic_socket
-            && a.total_dram == b.total_dram
-            && a.gpus == b.gpus
-    }
-
     /// Run one experiment: offer `workload` for the measurement window and
     /// observe throughput, pause behaviour, and counters.
     pub fn evaluate(&mut self, workload: &WorkloadSpec) -> Measurement {
@@ -585,109 +167,34 @@ impl Subsystem {
         }
 
         // --- Stage 1 — bottleneck rules: stress counters and collect
-        // triggered effects, per flow (delta-cached when incremental).
-        // Per-counter stress maxima accumulate in a plain array indexed by
-        // `diag::ALL` position; distinct counters receive independent adds
-        // in stage 5, so the array order is value-identical to the sorted
-        // map it replaced.
-        let sig = WorkloadSig::of(workload);
-        let symmetric = self.incremental && self.hosts_interchangeable();
-        let summaries: Vec<MsgSummary> = if self.incremental {
-            workload.flows.iter().map(MsgSummary::of).collect()
-        } else {
-            Vec::new()
-        };
+        // triggered effects, per flow. Per-counter stress maxima accumulate
+        // in a plain array indexed by `diag::ALL` position; distinct
+        // counters receive independent adds in stage 5, so the array order
+        // is value-identical to the sorted map it replaced.
         let mut rule_reports: Vec<(Direction, StressReport)> = Vec::new();
         let mut diag_stress = [0.0_f64; diag::ALL.len()];
-        let absorb = |reports: &[StressReport],
-                      direction: Direction,
-                      diag_stress: &mut [f64; diag::ALL.len()],
-                      rule_reports: &mut Vec<(Direction, StressReport)>| {
-            for report in reports {
+        for flow in &workload.flows {
+            for report in self.flow_reports(flow, workload) {
                 if let Some(index) = diag::index_of(report.counter) {
                     diag_stress[index] = diag_stress[index].max(report.stress);
                 }
-                rule_reports.push((direction, *report));
-            }
-        };
-        // The reverse flow of a symmetric bidirectional pair is adjacent to
-        // its forward flow in translation order and canonicalises to the
-        // same key; remembering the previous flow's key and report range
-        // lets it reuse those reports without touching the hash map at all.
-        // Re-applying the max-merge over identical reports is idempotent.
-        let mut last: Option<(FlowRuleKey, std::ops::Range<usize>)> = None;
-        for (index, flow) in workload.flows.iter().enumerate() {
-            if self.incremental {
-                let key = FlowRuleKey::of(flow, &summaries[index], &sig, symmetric);
-                if let Some((last_key, range)) = &last {
-                    if *last_key == key {
-                        self.inc_use.flow_hits += 1;
-                        for i in range.clone() {
-                            let report = rule_reports[i].1;
-                            if let Some(slot) = diag::index_of(report.counter) {
-                                diag_stress[slot] = diag_stress[slot].max(report.stress);
-                            }
-                            rule_reports.push((flow.direction, report));
-                        }
-                        continue;
-                    }
-                }
-                let start = rule_reports.len();
-                if let Some(cached) = self.flow_cache.get(&key) {
-                    self.inc_use.flow_hits += 1;
-                    absorb(cached, flow.direction, &mut diag_stress, &mut rule_reports);
-                } else {
-                    let computed = self.flow_reports(flow, workload);
-                    self.inc_use.flow_misses += 1;
-                    absorb(
-                        &computed,
-                        flow.direction,
-                        &mut diag_stress,
-                        &mut rule_reports,
-                    );
-                    if self.flow_cache.len() >= DELTA_CACHE_CAP {
-                        self.flow_cache.clear();
-                    }
-                    self.flow_cache.insert(key, computed);
-                }
-                last = Some((key, start..rule_reports.len()));
-            } else {
-                let computed = self.flow_reports(flow, workload);
-                absorb(
-                    &computed,
-                    flow.direction,
-                    &mut diag_stress,
-                    &mut rule_reports,
-                );
+                rule_reports.push((flow.direction, report));
             }
         }
 
-        // --- Stage 2 — per-direction fluid model (delta-cached when
-        // incremental), then the per-direction rule effects.
+        // --- Stage 2 — per-direction fluid model, then the per-direction
+        // rule effects.
         let mut outcomes: Vec<DirectionOutcome> = Vec::new();
         for direction in [Direction::AToB, Direction::BToA, Direction::LoopbackA] {
-            let mut flows: Vec<&FlowSpec> = Vec::new();
-            let mut flow_summaries: Vec<MsgSummary> = Vec::new();
-            for (index, flow) in workload.flows.iter().enumerate() {
-                if flow.direction == direction {
-                    flows.push(flow);
-                    if self.incremental {
-                        flow_summaries.push(summaries[index]);
-                    }
-                }
-            }
+            let flows: Vec<&FlowSpec> = workload
+                .flows
+                .iter()
+                .filter(|flow| flow.direction == direction)
+                .collect();
             if flows.is_empty() {
                 continue;
             }
-            outcomes.push(self.direction_outcome(
-                direction,
-                &flows,
-                &flow_summaries,
-                workload,
-                &sig,
-                symmetric,
-                &rule_reports,
-            ));
+            outcomes.push(self.direction_outcome(direction, &flows, workload, &rule_reports));
         }
 
         // --- Stage 3 — host-level PCIe sharing (full-duplex: payload reads
@@ -791,9 +298,8 @@ impl Subsystem {
         }
     }
 
-    /// Stage-1 unit: evaluate every bottleneck rule against one flow. Pure
-    /// in the flow, the workload-global projections of [`FlowRuleKey`], and
-    /// the subsystem's fixed host/RNIC configuration.
+    /// Stage-1 unit: evaluate every bottleneck rule against one flow of
+    /// `workload`.
     fn flow_reports(&self, flow: &FlowSpec, workload: &WorkloadSpec) -> Vec<StressReport> {
         let (sender_host, receiver_host) = self.host_pair_for(flow);
         evaluate_rules(&FlowContext {
@@ -805,54 +311,16 @@ impl Subsystem {
         })
     }
 
-    /// Compute the offered rate and drain rate of one direction before
-    /// host-level sharing is applied: the pure fluid stage (delta-cached
-    /// when incremental), then this direction's triggered rule effects.
-    //
-    // Takes the per-evaluation context (`summaries`/`sig`/`symmetric`) as
-    // plain arguments: they live in `evaluate`'s stack frame and exist
-    // only for the duration of one call.
-    #[allow(clippy::too_many_arguments)]
+    /// Stage-2 unit: the offered rate and drain rate of one direction before
+    /// host-level sharing is applied — the fluid performance model of its
+    /// flows, then this direction's triggered rule effects.
     fn direction_outcome(
-        &mut self,
-        direction: Direction,
-        flows: &[&FlowSpec],
-        summaries: &[MsgSummary],
-        workload: &WorkloadSpec,
-        sig: &WorkloadSig,
-        symmetric: bool,
-        rule_reports: &[(Direction, StressReport)],
-    ) -> DirectionOutcome {
-        let fluid = if self.incremental {
-            let key = FluidKey::of(direction, flows, summaries, sig, symmetric);
-            if let Some(cached) = self.fluid_cache.get(&key) {
-                self.inc_use.direction_hits += 1;
-                *cached
-            } else {
-                let computed = self.direction_fluid(direction, flows, workload);
-                self.inc_use.direction_misses += 1;
-                if self.fluid_cache.len() >= DELTA_CACHE_CAP {
-                    self.fluid_cache.clear();
-                }
-                self.fluid_cache.insert(key, computed);
-                computed
-            }
-        } else {
-            self.direction_fluid(direction, flows, workload)
-        };
-        Self::apply_direction_effects(direction, fluid, rule_reports)
-    }
-
-    /// Stage-2 unit, pure part: the fluid performance model of one
-    /// direction. Reads only each flow's QP count, MTU, message pattern and
-    /// memory placement (the [`FluidFlowKey`] projection), the workload's
-    /// bidirectional flag, and the subsystem's fixed configuration.
-    fn direction_fluid(
         &self,
         direction: Direction,
         flows: &[&FlowSpec],
         workload: &WorkloadSpec,
-    ) -> DirectionFluid {
+        rule_reports: &[(Direction, StressReport)],
+    ) -> DirectionOutcome {
         let spec = &self.rnic;
         let sender_host = self.host(direction.sender_host());
         let receiver_host = self.host(direction.receiver_host());
@@ -911,23 +379,11 @@ impl Subsystem {
         }
 
         let line = spec.line_rate.bits_per_sec();
-        DirectionFluid {
-            offered_bps: line.min(pkt_cap_bps).min(sender_dma_bps),
-            drain_bps: line.min(receiver_dma_bps),
-            mean_packet_bytes,
-        }
-    }
+        let mut offered = line.min(pkt_cap_bps).min(sender_dma_bps);
+        let mut drain = line.min(receiver_dma_bps);
 
-    /// Apply this direction's triggered rule effects to the fluid result,
-    /// in report order (the order effects multiply in is part of the
-    /// bit-identity contract).
-    fn apply_direction_effects(
-        direction: Direction,
-        fluid: DirectionFluid,
-        rule_reports: &[(Direction, StressReport)],
-    ) -> DirectionOutcome {
-        let mut offered = fluid.offered_bps;
-        let mut drain = fluid.drain_bps;
+        // Triggered rule effects, in report order (the order effects
+        // multiply in is part of the bit-identity contract).
         for (dir, report) in rule_reports {
             if *dir != direction || !report.triggered() {
                 continue;
@@ -946,7 +402,7 @@ impl Subsystem {
             direction,
             offered: BitRate::from_bits_per_sec(offered),
             drain: BitRate::from_bits_per_sec(drain),
-            mean_packet_bytes: fluid.mean_packet_bytes,
+            mean_packet_bytes,
         }
     }
 
@@ -1194,68 +650,6 @@ mod tests {
         let healthy = sys.evaluate(&WorkloadSpec::single(healthy_write_flow(Direction::AToB)));
         assert!(healthy.counters.value(diag::RECV_WQE_CACHE_MISS).unwrap() < 0.3 * DIAG_SCALE);
         assert!(healthy.max_pause_ratio() < 0.001);
-    }
-
-    #[test]
-    fn incremental_path_replays_identically_and_counts_reuse() {
-        let mut scratch = subsystem_f();
-        let mut inc = subsystem_f();
-        inc.set_incremental(true);
-        assert!(inc.incremental());
-
-        // A one-knob mutation chain: each workload shares most of its flows
-        // (and all of its global projections) with a neighbour.
-        let base = healthy_write_flow(Direction::AToB);
-        let mut small = base.clone();
-        small.messages = MessagePattern::uniform(64);
-        let mut batched = base.clone();
-        batched.wqe_batch = 64;
-        let mut anomalous = FlowSpec::basic(Direction::AToB);
-        anomalous.transport = Transport::Ud;
-        anomalous.opcode = Opcode::Send;
-        anomalous.wqe_batch = 64;
-        anomalous.recv_queue_depth = 256;
-        let chain = [
-            WorkloadSpec::single(base.clone()),
-            WorkloadSpec::single(base.clone()), // exact repeat: all stages hit
-            WorkloadSpec::single(small),
-            WorkloadSpec::single(batched), // fluid key unchanged vs. base
-            WorkloadSpec {
-                flows: vec![base.clone(), healthy_write_flow(Direction::BToA)],
-            },
-            WorkloadSpec::single(anomalous),
-            WorkloadSpec::single(base),
-        ];
-        for w in &chain {
-            let a = scratch.evaluate(w);
-            let b = inc.evaluate(w);
-            assert_eq!(a, b);
-        }
-        let reuse = inc.incremental_use();
-        assert!(reuse.flow_hits > 0, "{reuse:?}");
-        assert!(reuse.direction_hits > 0, "{reuse:?}");
-        // The wqe_batch mutation leaves the fluid projection unchanged, so
-        // the direction stage must reuse more often than the rule stage.
-        assert!(reuse.direction_hits > reuse.flow_hits, "{reuse:?}");
-        assert_eq!(scratch.incremental_use(), IncrementalUse::default());
-    }
-
-    #[test]
-    fn disabling_incremental_drops_the_caches() {
-        let mut sys = subsystem_f();
-        sys.set_incremental(true);
-        let w = WorkloadSpec::single(healthy_write_flow(Direction::AToB));
-        sys.evaluate(&w);
-        sys.evaluate(&w);
-        let hits_before = sys.incremental_use().total_hits();
-        assert!(hits_before > 0);
-        sys.set_incremental(false);
-        sys.set_incremental(true);
-        sys.evaluate(&w);
-        let reuse = sys.incremental_use();
-        // The re-enabled pass recomputes: misses grew, hits did not.
-        assert_eq!(reuse.total_hits(), hits_before);
-        assert!(reuse.total_misses() > 0);
     }
 
     #[test]

@@ -219,9 +219,8 @@ impl MessagePattern {
 }
 
 /// One traffic flow: a group of identically configured QPs in one direction.
-/// `Eq`/`Hash` are exact (no floating-point fields), which is what lets the
-/// subsystem's incremental evaluation path key per-flow stage results by the
-/// flow itself.
+/// `Eq`/`Hash` are exact (no floating-point fields): two flows compare equal
+/// only when every knob does.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FlowSpec {
     /// Payload direction.

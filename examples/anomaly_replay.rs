@@ -5,8 +5,9 @@
 //! measurement and the hardware counters, extracts the minimal feature set,
 //! and attaches the documented remediation plan to the ticket.
 //!
-//! Run with: `cargo run --example anomaly_replay -- <anomaly-number>`
-//! (defaults to anomaly #4, the bidirectional RC READ pause storm).
+//! Run with: `cargo run --example anomaly_replay -- [<anomaly 1-18>]`
+//! (defaults to anomaly #4, the bidirectional RC READ pause storm). Any
+//! other argument prints the usage to stderr and exits 2.
 
 use collie::core::search::kernel::MfsExtractor;
 use collie::core::search::WorkloadDomain;
@@ -14,13 +15,15 @@ use collie::prelude::*;
 use collie::rnic::counters::{diag, perf};
 
 fn main() {
-    let id: u32 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(4);
-    let Some(anomaly) = KnownAnomaly::by_id(id) else {
-        eprintln!("anomaly #{id} is not in the Table-2 catalog (valid ids: 1-18)");
-        std::process::exit(1);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let anomaly = match args.as_slice() {
+        [] => KnownAnomaly::by_id(4),
+        [id] => id.parse().ok().and_then(KnownAnomaly::by_id),
+        _ => None,
+    };
+    let Some(anomaly) = anomaly else {
+        eprintln!("usage: anomaly_replay [<anomaly 1-18>]");
+        std::process::exit(2);
     };
 
     println!(

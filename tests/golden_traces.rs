@@ -341,18 +341,14 @@ fn golden_fig7_bayesian_fabric_cells_are_pinned() {
     record_or_compare("golden_fig7_bo.json", &golden, true);
 }
 
-/// The same cells with memoization and the engine's incremental
-/// evaluation path pinned explicitly (rather than inherited from
-/// `COLLIE_MEMOIZE` / `COLLIE_INCREMENTAL`).
-fn with_execution(cells: &[CampaignSpec], memoize: bool, incremental: bool) -> Vec<CampaignSpec> {
+/// The same cells with memoization pinned explicitly (rather than
+/// inherited from `COLLIE_MEMOIZE`).
+fn with_execution(cells: &[CampaignSpec], memoize: bool) -> Vec<CampaignSpec> {
     cells
         .iter()
         .cloned()
         .map(|cell| CampaignSpec {
-            config: cell
-                .config
-                .with_memoization(memoize)
-                .with_incremental(incremental),
+            config: cell.config.with_memoization(memoize),
             ..cell
         })
         .collect()
@@ -398,35 +394,36 @@ fn assert_same_stream(name: &str, oracle: &str, replay: &str) {
 
 #[test]
 fn golden_grids_are_incremental_independent() {
-    // The per-flow and per-direction delta caches are a pure execution
-    // optimisation, so a grid replayed with incremental evaluation on —
-    // with the memo cache on or off — must reproduce the from-scratch
-    // stream byte for byte. The oracle pins incremental *off* explicitly
-    // so the test is meaningful under both settings of the
-    // COLLIE_INCREMENTAL CI matrix; one second-generation grid per stack
-    // keeps the runtime in budget, and the full fixture set runs whichever
-    // mode the environment selects in the fixture tests above.
+    // `SearchConfig::incremental` is inert since the delta caches were
+    // removed, but the campaign benchmark still sets it and passes it to
+    // `set_incremental`. A grid replayed with the knob on must reproduce
+    // the knob-off oracle byte for byte, so the field stays a no-op until
+    // it is deleted. Both renders pin memoization on, so the comparison
+    // holds under the COLLIE_MEMOIZE=0 CI leg as well.
+    let knob_on = |cells: &[CampaignSpec]| -> Vec<CampaignSpec> {
+        with_execution(cells, true)
+            .into_iter()
+            .map(|cell| CampaignSpec {
+                config: SearchConfig {
+                    incremental: true,
+                    ..cell.config
+                },
+                ..cell
+            })
+            .collect()
+    };
     let cells = fig4_cells();
-    let oracle = render_two_host(&with_execution(&cells, true, false));
-    for memoize in [true, false] {
-        let replay = render_two_host(&with_execution(&cells, memoize, true));
-        assert_same_stream(
-            &format!("golden_fig4_kernel.json (incremental, memoize {memoize})"),
-            &oracle,
-            &replay,
-        );
-    }
-
+    assert_same_stream(
+        "golden_fig4_kernel.json (incremental knob on)",
+        &render_two_host(&with_execution(&cells, true)),
+        &render_two_host(&knob_on(&cells)),
+    );
     let cells = fig7_bo_cells();
-    let oracle = render_fabric(&with_execution(&cells, true, false));
-    for memoize in [true, false] {
-        let replay = render_fabric(&with_execution(&cells, memoize, true));
-        assert_same_stream(
-            &format!("golden_fig7_bo.json (incremental, memoize {memoize})"),
-            &oracle,
-            &replay,
-        );
-    }
+    assert_same_stream(
+        "golden_fig7_bo.json (incremental knob on)",
+        &render_fabric(&with_execution(&cells, true)),
+        &render_fabric(&knob_on(&cells)),
+    );
 }
 
 #[test]
@@ -452,4 +449,21 @@ fn golden_grids_are_memoization_independent() {
         "cache ablation moved a campaign"
     );
     assert!(outcomes[0].1.hits > 0 && outcomes[1].1.hits == 0);
+
+    // And whole grids, one second-generation grid per stack: the memo-off
+    // replay must reproduce the memo-on oracle byte for byte. The oracle
+    // pins memoization on explicitly so the comparison is meaningful under
+    // the COLLIE_MEMOIZE=0 CI leg as well.
+    let cells = fig4_cells();
+    assert_same_stream(
+        "golden_fig4_kernel.json (memoize off)",
+        &render_two_host(&with_execution(&cells, true)),
+        &render_two_host(&with_execution(&cells, false)),
+    );
+    let cells = fig7_bo_cells();
+    assert_same_stream(
+        "golden_fig7_bo.json (memoize off)",
+        &render_fabric(&with_execution(&cells, true)),
+        &render_fabric(&with_execution(&cells, false)),
+    );
 }

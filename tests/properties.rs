@@ -7,7 +7,10 @@
 //! * measurements never exceed the RNIC specification (line rate / packet
 //!   rate), pause ratios are valid fractions, and counters are
 //!   non-negative;
-//! * the simulator is deterministic: the same point measures identically;
+//! * the simulator is deterministic: the same point measures identically,
+//!   and a warm engine walking a mutation chain measures every point
+//!   exactly as a fresh engine does;
+//! * swapping the two hosts mirrors a measurement exactly;
 //! * space sampling and mutation always produce well-formed points, and
 //!   restrictions are never violated;
 //! * an extracted MFS always matches the point it was extracted from, and
@@ -15,6 +18,7 @@
 //! * the anomaly verdict is consistent with its own thresholds.
 
 use collie::prelude::*;
+use collie::rnic::subsystem::DirectionMetrics;
 use collie::sim::rng::SimRng;
 use proptest::prelude::*;
 
@@ -127,6 +131,153 @@ proptest! {
         let point = point_from_seed(seed);
         let cost = WorkloadEngine::experiment_cost(&point).as_secs_f64();
         prop_assert!((20.0..=60.0).contains(&cost), "cost {cost} outside 20–60 s");
+    }
+}
+
+/// The same direction seen from the other host. The model has no loopback
+/// on host B, so `LoopbackA` has no mirror and maps to itself.
+fn mirrored(direction: Direction) -> Direction {
+    match direction {
+        Direction::AToB => Direction::BToA,
+        Direction::BToA => Direction::AToB,
+        Direction::LoopbackA => Direction::LoopbackA,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64 })]
+
+    /// The catalogued subsystems put two identical hosts on either side of
+    /// the switch, so mirroring every flow across them must mirror the
+    /// measurement exactly: per-host pause ratios swap, each direction's
+    /// row moves to the opposite direction unchanged, and the counter
+    /// snapshot is equal. Workloads with a loopback flow have no mirror.
+    #[test]
+    fn swapping_the_hosts_mirrors_the_measurement(seed in any::<u64>()) {
+        for id in SubsystemId::ALL {
+            let space = SearchSpace::for_host(&id.host());
+            let mut engine = WorkloadEngine::for_catalog(id);
+            let mut rng = SimRng::new(seed);
+            let mut point = space.random_point(&mut rng);
+            for step in 0..6 {
+                let workload = engine.translate(&point);
+                if !workload.flows.iter().any(|flow| flow.direction.is_loopback()) {
+                    let mut swapped = workload.clone();
+                    for flow in &mut swapped.flows {
+                        flow.direction = mirrored(flow.direction);
+                    }
+                    let original = engine.subsystem_mut().evaluate(&workload);
+                    let mirror = engine.subsystem_mut().evaluate(&swapped);
+                    prop_assert!(
+                        mirror.pause_ratio == [original.pause_ratio[1], original.pause_ratio[0]],
+                        "{id} step {step}: pause ratios {:?} did not swap to {:?}",
+                        original.pause_ratio,
+                        mirror.pause_ratio
+                    );
+                    prop_assert!(
+                        mirror.directions.len() == original.directions.len(),
+                        "{id} step {step}: {} rows became {}",
+                        original.directions.len(),
+                        mirror.directions.len()
+                    );
+                    for row in &original.directions {
+                        let expected = DirectionMetrics {
+                            direction: mirrored(row.direction),
+                            ..*row
+                        };
+                        prop_assert!(
+                            mirror.direction(expected.direction) == Some(&expected),
+                            "{id} step {step}: row {row:?} mirrored to {:?}",
+                            mirror.direction(expected.direction)
+                        );
+                    }
+                    prop_assert!(
+                        mirror.counters == original.counters,
+                        "{id} step {step}: counters {:?} became {:?}",
+                        original.counters,
+                        mirror.counters
+                    );
+                }
+                point = space.mutate(&point, &mut rng);
+            }
+        }
+    }
+}
+
+proptest! {
+    // Every case walks a whole chain with a fresh engine per point, so keep
+    // the case count low.
+    #![proptest_config(ProptestConfig { cases: 10 })]
+
+    /// A warm engine must measure every point of a seeded single-knob
+    /// mutation chain (the access pattern of a campaign's proposal stream)
+    /// exactly as a fresh engine does: the evaluator's memo and
+    /// `WorkloadEngine::fork` both rely on it. "Exactly" is asserted twice
+    /// per step — structural equality of the `Measurement` (which compares
+    /// every f64 exactly) and equality of the canonical JSON encoding,
+    /// which also pins counter names, ordering and the serialised shape
+    /// the golden fixtures rely on.
+    #[test]
+    fn two_host_chains_match_fresh_engines(
+        seed in any::<u64>(),
+        steps in 5usize..40,
+    ) {
+        let space = space_f();
+        let mut rng = SimRng::new(seed);
+        let mut warm = WorkloadEngine::for_catalog(SubsystemId::F);
+
+        let mut point = SearchPoint::benign();
+        for step in 0..steps {
+            point = space.mutate(&point, &mut rng);
+            let measured = warm.measure(&point);
+            let mut fresh = WorkloadEngine::for_catalog(SubsystemId::F);
+            let scratch = fresh.measure(&point);
+            prop_assert!(
+                measured == scratch,
+                "measurement diverged at step {step} (seed {seed}): \
+                 warm {measured:?}, fresh {scratch:?}"
+            );
+            let measured_json = serde_json::to_string(&measured)
+                .expect("measurement serialises");
+            let scratch_json = serde_json::to_string(&scratch)
+                .expect("measurement serialises");
+            prop_assert!(
+                measured_json == scratch_json,
+                "serialised measurement diverged at step {step} (seed {seed})"
+            );
+        }
+    }
+
+    /// The same contract on the fabric domain.
+    #[test]
+    fn fabric_chains_match_fresh_engines(
+        seed in any::<u64>(),
+        steps in 5usize..40,
+    ) {
+        let space = FabricSpace::for_host(&SubsystemId::F.host());
+        let mut rng = SimRng::new(seed);
+        let mut warm = FabricEngine::for_catalog(SubsystemId::F);
+
+        let mut point = FabricPoint::benign();
+        for step in 0..steps {
+            point = space.mutate(&point, &mut rng);
+            let measured = warm.measure(&point);
+            let mut fresh = FabricEngine::for_catalog(SubsystemId::F);
+            let scratch = fresh.measure(&point);
+            prop_assert!(
+                measured == scratch,
+                "fabric measurement diverged at step {step} (seed {seed}): \
+                 warm {measured:?}, fresh {scratch:?}"
+            );
+            let measured_json = serde_json::to_string(&measured)
+                .expect("fabric measurement serialises");
+            let scratch_json = serde_json::to_string(&scratch)
+                .expect("fabric measurement serialises");
+            prop_assert!(
+                measured_json == scratch_json,
+                "serialised fabric measurement diverged at step {step} (seed {seed})"
+            );
+        }
     }
 }
 
