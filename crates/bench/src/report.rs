@@ -249,6 +249,27 @@ mod tests {
     }
 
     #[test]
+    fn every_truncated_report_is_rejected() {
+        // `bench --validate` (parse, then validate) must reject every
+        // strict prefix of a report document with an error, never a panic.
+        let report = BenchReport {
+            name: "fig4".to_string(),
+            mode: "smoke".to_string(),
+            cells: vec![sample_cell(), sample_cell()],
+        };
+        let json = serde_json::to_string_pretty(&report).unwrap();
+        let load = |text: &str| {
+            serde_json::from_str::<BenchReport>(text)
+                .map_err(|e| e.to_string())
+                .and_then(|report| validate_bench_report(&report))
+        };
+        assert_eq!(load(&json), Ok(()));
+        for (end, _) in json.char_indices() {
+            assert!(load(&json[..end]).is_err(), "{end}-byte prefix validated");
+        }
+    }
+
+    #[test]
     fn report_round_trips_through_json() {
         let report = BenchReport {
             name: "eval_cache".to_string(),

@@ -352,17 +352,6 @@ pub fn run_fabric_search_with_stats(
     space: &FabricSpace,
     config: &SearchConfig,
 ) -> (FabricOutcome, EvalProfile) {
-    // The two-host legacy-compat knobs never describe a fabric behaviour:
-    // the fabric stack always had identity-keyed dedup and a stuck-walk
-    // escape (that is what the fig7 golden fixtures pin). Enforce both so
-    // a config built with `with_legacy_two_host_semantics()` for the
-    // two-host compat grids cannot silently select a fabric mode that
-    // never existed. An explicit non-default escape threshold is honoured.
-    let config = &SearchConfig {
-        identity_dedup: true,
-        stuck_skip_limit: config.stuck_skip_limit.or(Some(24)),
-        ..config.clone()
-    };
     let monitor = AnomalyMonitor::new();
     let mut evaluator = if config.memoize {
         FabricEvaluator::new(engine)
@@ -559,21 +548,21 @@ mod tests {
 
     #[test]
     fn legacy_two_host_knobs_cannot_select_a_nonexistent_fabric_mode() {
-        // `with_legacy_two_host_semantics()` exists solely for the
-        // two-host golden compat grids; the fabric stack always had
-        // identity-keyed dedup and the stuck-walk escape, so the runner
-        // normalises the knobs away and the campaign is bit-identical to
-        // the default configuration.
+        // The fabric stack always had identity-keyed dedup and the
+        // stuck-walk escape. The inert fields set to the old two-host
+        // legacy values (no escape, containment-only dedup) must leave a
+        // fabric campaign bit-identical to the default configuration.
         let space = FabricSpace::for_host(&SubsystemId::F.host());
         let config = SearchConfig::collie(42).with_budget(SimDuration::from_secs(1800));
         let mut a_engine = FabricEngine::for_catalog(SubsystemId::F);
         let a = run_fabric_search(&mut a_engine, &space, &config);
         let mut b_engine = FabricEngine::for_catalog(SubsystemId::F);
-        let b = run_fabric_search(
-            &mut b_engine,
-            &space,
-            &config.clone().with_legacy_two_host_semantics(),
-        );
+        let legacy = SearchConfig {
+            stuck_skip_limit: None,
+            identity_dedup: false,
+            ..config
+        };
+        let b = run_fabric_search(&mut b_engine, &space, &legacy);
         assert_eq!(a, b);
     }
 

@@ -43,7 +43,7 @@ use crate::engine::WorkloadEngine;
 use crate::eval::Evaluator;
 use crate::mitigation::{Mitigation, RemediationPlan};
 use crate::monitor::{AnomalyMonitor, Symptom};
-use crate::space::SearchPoint;
+use crate::space::{SearchPoint, SearchSpace};
 use collie_rnic::subsystem::Measurement;
 use collie_rnic::subsystems::SubsystemId;
 use serde::{Deserialize, Serialize};
@@ -425,7 +425,9 @@ impl RegressionCatalog {
         serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
     }
 
-    /// Parse from JSON, rejecting version mismatches.
+    /// Parse from JSON, rejecting version mismatches and records whose
+    /// trigger is not a well-formed point of its subsystem's search space
+    /// (replaying one would judge a workload that cannot exist).
     pub fn from_json(text: &str) -> Result<RegressionCatalog, String> {
         let catalog: RegressionCatalog =
             serde_json::from_str(text).map_err(|e| format!("malformed regression catalog: {e}"))?;
@@ -433,6 +435,18 @@ impl RegressionCatalog {
             return Err(format!(
                 "regression catalog version {} is not the supported version {}",
                 catalog.version, REGRESSION_CATALOG_VERSION
+            ));
+        }
+        let malformed = catalog.records.iter().find(|record| {
+            let space = SearchSpace::for_host(&record.subsystem.host());
+            !record.trigger.is_well_formed(&space)
+        });
+        if let Some(record) = malformed {
+            return Err(format!(
+                "regression catalog record {} has a trigger that is not well-formed on its \
+                 subsystem: {}",
+                record.identity(),
+                record.trigger
             ));
         }
         Ok(catalog)
@@ -575,6 +589,41 @@ mod tests {
         drifted.version += 1;
         let err = RegressionCatalog::from_json(&drifted.to_json()).unwrap_err();
         assert!(err.contains("version"), "{err}");
+    }
+
+    #[test]
+    fn catalog_rejects_triggers_outside_their_subsystems_space() {
+        // Such a trigger parses, but would replay into a false regression
+        // (GPU 9 on F) or a silent pass (no messages, no QPs).
+        let anomaly = KnownAnomaly::by_id(3).unwrap();
+        let record = Qualifier::for_subsystem(anomaly.subsystem).qualify_known(&anomaly);
+        let edits: [fn(&mut SearchPoint); 3] = [
+            |p| p.dst_memory = collie_host::memory::MemoryTarget::GpuMemory { gpu_id: 9 },
+            |p| p.messages.clear(),
+            |p| p.num_qps = 0,
+        ];
+        for edit in edits {
+            let mut catalog = RegressionCatalog::new();
+            catalog.upsert(record.clone());
+            edit(&mut catalog.records[0].trigger);
+            let err = RegressionCatalog::from_json(&catalog.to_json()).unwrap_err();
+            assert!(err.contains("F/#3") && err.contains("well-formed"), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_truncated_catalog_is_rejected() {
+        // Every strict prefix of a saved one-record catalog is an error,
+        // never a panic.
+        let anomaly = KnownAnomaly::by_id(3).unwrap();
+        let mut catalog = RegressionCatalog::new();
+        catalog.upsert(Qualifier::for_subsystem(anomaly.subsystem).qualify_known(&anomaly));
+        let json = catalog.to_json();
+        assert!(RegressionCatalog::from_json(&json).is_ok());
+        for (end, _) in json.char_indices() {
+            let prefix = &json[..end];
+            assert!(RegressionCatalog::from_json(prefix).is_err(), "{prefix}");
+        }
     }
 
     #[test]

@@ -14,25 +14,17 @@
 //!
 //! Behaviour notes pinned by tests:
 //!
-//! * **RNG-stream stability** — draws happen in exactly the order the
-//!   pre-unification per-stack loops made them; `tests/golden_traces.rs`
-//!   diffs the full fig4/fig5/fig7 grids against committed fixtures.
+//! * **RNG-stream stability** — a campaign's draws are a pure function of
+//!   its seed; `tests/golden_traces.rs` diffs the full fig4/fig5/fig7
+//!   grids against committed fixtures.
 //! * **Stuck-walk escape** — a walk parked next to a discovered MFS region
-//!   can propose free skips indefinitely; after
-//!   [`SearchConfig::stuck_skip_limit`] consecutive skips the schedule
-//!   restarts from a fresh point. This escape used to exist only in the
-//!   fabric copy of the annealer; the kernel gives it to every domain (see
+//!   can propose free skips indefinitely; after `STUCK_SKIP_LIMIT`
+//!   consecutive skips the schedule restarts from a fresh point (see
 //!   `a_saturating_mfs_cannot_stall_the_annealer`).
 //! * **Per-identity dedup** — an anomaly surfacing inside a known MFS
 //!   region is redundant only if that MFS has the *same observable
-//!   identity* ([`SearchConfig::identity_dedup`]); a loose MFS of a
-//!   different identity must not shadow it (see
-//!   `a_loose_mfs_does_not_shadow_a_distinct_identity_discovery`).
-//! * **Compatibility grids** — both behaviours are config knobs whose
-//!   legacy settings ([`SearchConfig::with_legacy_two_host_semantics`])
-//!   reproduce the pre-kernel two-host streams bit-for-bit, which is how
-//!   the golden suite separates the refactor (stream-preserving) from the
-//!   two deliberate fixes (pinned by their own fixtures).
+//!   identity*; a loose MFS of a different identity must not shadow it
+//!   (see `a_loose_mfs_does_not_shadow_a_distinct_identity_discovery`).
 
 use crate::search::domain::{CampaignReport, ExtractionCost, SearchDomain};
 use crate::search::{RuleHit, SearchConfig, SearchStrategy};
@@ -48,6 +40,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// no hardware time, but once the discovered MFSes cover most of the space
 /// the baseline must not spin forever generating free rejects.
 const MAX_CONSECUTIVE_SKIPS: u32 = 256;
+
+/// Consecutive MFS-skipped proposals after which an annealing walk
+/// abandons its neighbourhood and restarts from a fresh random point. The
+/// walk's skips are free, but it makes no progress parked next to a
+/// discovered MFS region.
+const STUCK_SKIP_LIMIT: u32 = 24;
 
 /// Bounded re-draws applied to the post-discovery (line 17) restart.
 const MAX_RESTART_REDRAWS: usize = 8;
@@ -208,18 +206,13 @@ impl<'c, D: SearchDomain> CampaignLoop<'c, D> {
         // Then this is a redundant sighting of an anomaly we have, not a
         // new discovery. An anomaly of a different identity surfacing
         // inside a loose MFS region is operationally a different finding
-        // and must not be shadowed by it (`identity_dedup: false` restores
-        // the pre-kernel containment-only check for the golden-trace
-        // compatibility grids). An *empty* MFS matches vacuously and must
-        // not take part in this dedup — one degenerate extraction would
-        // otherwise mark every later anomaly redundant and silence the
-        // rest of the campaign (same guard as
+        // and must not be shadowed by it. An *empty* MFS matches vacuously
+        // and must not take part in this dedup — one degenerate extraction
+        // would otherwise mark every later anomaly redundant and silence
+        // the rest of the campaign (same guard as
         // [`CampaignLoop::matches_known_mfs`]).
-        let identity_dedup = self.config.identity_dedup;
         if self.mfs_set.iter().any(|m| {
-            !D::mfs_is_empty(m)
-                && (!identity_dedup || D::mfs_identity(m) == identity)
-                && D::mfs_matches(m, point)
+            !D::mfs_is_empty(m) && D::mfs_identity(m) == identity && D::mfs_matches(m, point)
         }) {
             return;
         }
@@ -455,16 +448,14 @@ fn anneal_schedule<D: SearchDomain>(campaign: &mut CampaignLoop<'_, D>, target: 
             let candidate = campaign.mutate(&current);
             // Line 5: skip workloads already covered by a known anomaly —
             // but escape the neighbourhood if the walk is only producing
-            // covered proposals (`stuck_skip_limit`).
+            // covered proposals (`STUCK_SKIP_LIMIT`).
             if campaign.matches_known_mfs(&candidate) {
                 stuck_skips += 1;
-                if let Some(limit) = config.stuck_skip_limit {
-                    if stuck_skips >= limit {
-                        stuck_skips = 0;
-                        current = draw_restart_point(campaign);
-                        if let Some(m) = campaign.measure(&current) {
-                            current_value = campaign.signal_value(&m, target);
-                        }
+                if stuck_skips >= STUCK_SKIP_LIMIT {
+                    stuck_skips = 0;
+                    current = draw_restart_point(campaign);
+                    if let Some(m) = campaign.measure(&current) {
+                        current_value = campaign.signal_value(&m, target);
                     }
                 }
                 continue;
@@ -970,65 +961,46 @@ mod tests {
 
     #[test]
     fn a_saturating_mfs_cannot_stall_the_annealer() {
-        // Regression for the stuck-walk escape, newly shared with the
-        // two-host annealer through the kernel. With the whole space
-        // covered by one (non-empty) MFS, the pre-kernel two-host walk
-        // burnt every schedule proposing free skips — roughly a hundred
+        // Regression for the stuck-walk escape. With the whole space
+        // covered by one (non-empty) MFS, a walk without the escape burns
+        // every schedule proposing free skips — roughly a hundred
         // consecutive rejects per measured experiment. The escape forces a
-        // restart measurement after `stuck_skip_limit` consecutive skips,
-        // so skips per experiment stay bounded by the limit.
-        let (mut engine, space, monitor) = setup();
-        let config =
-            SearchConfig::collie(7).with_budget(collie_sim::time::SimDuration::from_secs(3600));
-        assert_eq!(config.stuck_skip_limit, Some(24));
-        let mut evaluator = Evaluator::new(&mut engine);
-        let domain = WorkloadDomain::new(&mut evaluator, &monitor, &space, config.signal);
-        let mut campaign = CampaignLoop::new(domain, &config);
-        campaign.plant_mfs(saturating_mfs());
-        run_annealing(&mut campaign);
-        let report = campaign.finish();
-        assert!(report.experiments > 0, "budget must still drain");
-        assert!(
-            report.skipped_by_mfs <= 30 * report.experiments,
-            "the stuck-walk escape must bound free skips per experiment \
-             ({} skips / {} experiments)",
-            report.skipped_by_mfs,
-            report.experiments
-        );
-    }
-
-    #[test]
-    fn without_the_escape_the_saturated_walk_spins() {
-        // The other half of the regression: the legacy configuration
-        // reproduces the pre-kernel stall, which is what made the golden
-        // compatibility grids bit-identical — and what the default config
-        // fixes.
-        let (mut engine, space, monitor) = setup();
-        let config = SearchConfig::collie(7)
-            .with_budget(collie_sim::time::SimDuration::from_secs(3600))
-            .with_legacy_two_host_semantics();
-        let mut evaluator = Evaluator::new(&mut engine);
-        let domain = WorkloadDomain::new(&mut evaluator, &monitor, &space, config.signal);
-        let mut campaign = CampaignLoop::new(domain, &config);
-        campaign.plant_mfs(saturating_mfs());
-        run_annealing(&mut campaign);
-        let report = campaign.finish();
-        assert!(
-            report.skipped_by_mfs > 60 * report.experiments.max(1),
-            "without the escape a saturated space wastes schedules on free \
-             skips ({} skips / {} experiments)",
-            report.skipped_by_mfs,
-            report.experiments
-        );
+        // restart measurement after `STUCK_SKIP_LIMIT` consecutive skips,
+        // so skips per experiment stay bounded by the limit. The inert
+        // `stuck_skip_limit: None` once disabled the escape; it must not
+        // any more.
+        for stuck_skip_limit in [Some(24), None] {
+            let (mut engine, space, monitor) = setup();
+            let config = SearchConfig {
+                stuck_skip_limit,
+                ..SearchConfig::collie(7)
+            }
+            .with_budget(collie_sim::time::SimDuration::from_secs(3600));
+            let mut evaluator = Evaluator::new(&mut engine);
+            let domain = WorkloadDomain::new(&mut evaluator, &monitor, &space, config.signal);
+            let mut campaign = CampaignLoop::new(domain, &config);
+            campaign.plant_mfs(saturating_mfs());
+            run_annealing(&mut campaign);
+            let report = campaign.finish();
+            assert!(report.experiments > 0, "budget must still drain");
+            assert!(
+                report.skipped_by_mfs <= 30 * report.experiments,
+                "stuck_skip_limit={stuck_skip_limit:?}: the stuck-walk escape must bound \
+                 free skips per experiment ({} skips / {} experiments)",
+                report.skipped_by_mfs,
+                report.experiments
+            );
+        }
     }
 
     #[test]
     fn a_loose_mfs_does_not_shadow_a_distinct_identity_discovery() {
-        // The dedup-identity unification (previously fabric-only): a loose
-        // pause-storm MFS covers the whole space, and a low-throughput
-        // anomaly is then measured inside its region. Containment-only
-        // dedup silently swallowed it; identity-keyed dedup records it as
-        // the operationally distinct finding it is.
+        // Identity-keyed dedup: a loose pause-storm MFS covers the whole
+        // space, and a low-throughput anomaly is then measured inside its
+        // region. Containment-only dedup would silently swallow it;
+        // identity-keyed dedup records it as the operationally distinct
+        // finding it is. The inert `identity_dedup: false` once selected
+        // containment-only dedup; it must not any more.
         let (mut engine, space, monitor) = setup();
         // Appendix A anomaly #2: low throughput without pause.
         let mut low_throughput = SearchPoint::benign();
@@ -1041,10 +1013,12 @@ mod tests {
         low_throughput.mtu = 1024;
         low_throughput.messages = vec![1024];
 
-        for (identity_dedup, expected_discoveries) in [(true, 1), (false, 0)] {
-            let config = SearchConfig::collie(3)
-                .with_budget(collie_sim::time::SimDuration::from_secs(7200))
-                .with_identity_dedup(identity_dedup);
+        for identity_dedup in [true, false] {
+            let config = SearchConfig {
+                identity_dedup,
+                ..SearchConfig::collie(3)
+            }
+            .with_budget(collie_sim::time::SimDuration::from_secs(7200));
             let mut evaluator = Evaluator::new(&mut engine);
             let domain = WorkloadDomain::new(&mut evaluator, &monitor, &space, config.signal);
             let mut campaign = CampaignLoop::new(domain, &config);
@@ -1053,12 +1027,10 @@ mod tests {
             let report = campaign.finish();
             assert_eq!(
                 report.discoveries.len(),
-                expected_discoveries,
+                1,
                 "identity_dedup={identity_dedup}"
             );
-            if identity_dedup {
-                assert_eq!(report.discoveries[0].symptom, Symptom::LowThroughput);
-            }
+            assert_eq!(report.discoveries[0].symptom, Symptom::LowThroughput);
         }
     }
 
@@ -1185,33 +1157,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_semantics_builder_sets_both_compat_knobs() {
-        let config = SearchConfig::collie(1).with_legacy_two_host_semantics();
-        assert_eq!(config.stuck_skip_limit, None);
-        assert!(!config.identity_dedup);
-        // Defaults keep the kernel semantics.
-        let default = SearchConfig::collie(1);
-        assert_eq!(default.stuck_skip_limit, Some(24));
-        assert!(default.identity_dedup);
-    }
-
-    #[test]
     fn the_two_legacy_knobs_only_change_campaigns_that_hit_them() {
-        // A short campaign that never saturates and never sees two
-        // symptoms in one region is bit-identical under both semantics —
-        // the compat knobs gate *extra* behaviour, they do not reorder
-        // any RNG draw.
+        // The two inert fields set to their old legacy values (no escape,
+        // containment-only dedup) leave a campaign bit-identical: they
+        // gate no behaviour and reorder no RNG draw.
         let space = SearchSpace::for_host(&SubsystemId::F.host());
         let config =
             SearchConfig::collie(42).with_budget(collie_sim::time::SimDuration::from_secs(900));
         let mut a_engine = WorkloadEngine::for_catalog(SubsystemId::F);
         let a = run_search(&mut a_engine, &space, &config);
         let mut b_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let b = run_search(
-            &mut b_engine,
-            &space,
-            &config.clone().with_legacy_two_host_semantics(),
-        );
+        let legacy = SearchConfig {
+            stuck_skip_limit: None,
+            identity_dedup: false,
+            ..config
+        };
+        let b = run_search(&mut b_engine, &space, &legacy);
         assert_eq!(a, b);
     }
 }

@@ -120,19 +120,17 @@ pub struct SearchConfig {
     pub alpha: f64,
     /// SA iterations per temperature step (n in Algorithm 1).
     pub iterations_per_temperature: u32,
-    /// Consecutive MFS-skipped proposals after which an annealing walk
-    /// abandons its neighbourhood and restarts from a fresh random point
-    /// (the walk's skips are free, but it makes no progress parked next to
-    /// a discovered MFS region). `None` disables the escape — the
-    /// pre-kernel two-host behaviour, used by the golden-trace
-    /// compatibility grids.
+    /// Inert: every constructor sets it to `Some(24)` and nothing in the
+    /// workspace reads it. The annealer's stuck-walk escape is the kernel
+    /// constant `STUCK_SKIP_LIMIT` (24 consecutive MFS skips). Kept only
+    /// because the campaign benchmark still reads and sets it; ROADMAP's
+    /// next benchmark revision deletes it.
     pub stuck_skip_limit: Option<u32>,
-    /// Whether discovery dedup requires a matching MFS to share the new
-    /// anomaly's *observable identity* (symptom, plus the cross-host
-    /// hallmark on fabric domains). With identity keying a loose MFS
-    /// cannot shadow a distinct-identity discovery; `false` restores the
-    /// pre-kernel two-host containment-only dedup for the golden-trace
-    /// compatibility grids.
+    /// Inert: every constructor sets it to `true` and nothing in the
+    /// workspace reads it. Discovery dedup always requires a matching MFS
+    /// of the same observable identity. Kept only because the campaign
+    /// benchmark still sets it; ROADMAP's next benchmark revision deletes
+    /// it.
     pub identity_dedup: bool,
     /// Inert: every constructor sets it to `false` and nothing in the
     /// workspace reads it. It selected the incremental delta caches, which
@@ -204,35 +202,6 @@ impl SearchConfig {
     pub fn with_memoization(mut self, memoize: bool) -> SearchConfig {
         self.memoize = memoize;
         self
-    }
-
-    /// Replace the stuck-walk escape threshold (`None` disables; see
-    /// [`SearchConfig::stuck_skip_limit`]).
-    pub fn with_stuck_skip_limit(mut self, limit: Option<u32>) -> SearchConfig {
-        self.stuck_skip_limit = limit;
-        self
-    }
-
-    /// Enable or disable identity-keyed discovery dedup (see
-    /// [`SearchConfig::identity_dedup`]).
-    pub fn with_identity_dedup(mut self, identity_dedup: bool) -> SearchConfig {
-        self.identity_dedup = identity_dedup;
-        self
-    }
-
-    /// The pre-kernel two-host campaign semantics: no stuck-walk escape
-    /// and containment-only discovery dedup. The golden-trace suite runs
-    /// the fig4/fig5 grids in this mode to prove the kernel unification
-    /// moved neither RNG stream; new code should keep the defaults.
-    ///
-    /// **Two-host only.** The fabric stack always had the escape and
-    /// identity-keyed dedup, so a config built this way must not be fed to
-    /// [`run_fabric_search`](crate::fabric::run_fabric_search) — it would
-    /// select a fabric behaviour that never existed (a loose local-storm
-    /// MFS could shadow a victim-collapse discovery, and a saturated
-    /// space could stall the fabric annealer).
-    pub fn with_legacy_two_host_semantics(self) -> SearchConfig {
-        self.with_stuck_skip_limit(None).with_identity_dedup(false)
     }
 
     /// A descriptive label such as "Collie(Diag)" or "BO w/o MFS(Perf)".

@@ -11,7 +11,6 @@
 //! * [`units`] — byte counts, bit rates, packet rates, and conversions
 //!   between them (the RNIC specifications in the paper are expressed in
 //!   Gbps and Mpps).
-//! * [`event`] — a deterministic discrete-event queue.
 //! * [`rng`] — a seedable, forkable PRNG with no external dependencies so
 //!   that every simulation and every search campaign is exactly
 //!   reproducible from a single `u64` seed.
@@ -19,8 +18,6 @@
 //!   "performance counters" and "diagnostic counters"; this module gives
 //!   every hardware model a uniform way to expose them and the search a
 //!   uniform way to snapshot them.
-//! * [`queue`] — fluid (rate-based) queue and token-bucket primitives used
-//!   by the buffer/backpressure models.
 //! * [`stats`] — online statistics and percentile summaries used by the
 //!   anomaly monitor and the benchmark harness.
 //! * [`series`] — time series recording, used to regenerate Figure 6
@@ -32,8 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod event;
-pub mod queue;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -41,8 +36,6 @@ pub mod time;
 pub mod units;
 
 pub use counters::{CounterHandle, CounterKind, CounterRegistry, CounterSnapshot};
-pub use event::EventQueue;
-pub use queue::{FluidQueue, TokenBucket};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::{OnlineStats, Summary};

@@ -1,10 +1,11 @@
 //! Simulated time.
 //!
 //! All models in this workspace advance a shared notion of simulated time
-//! measured in integer nanoseconds. Integer nanoseconds keep the event queue
-//! total-ordering exact (no floating point ties) while still being fine
-//! grained enough to express per-packet and per-DMA-transaction latencies on
-//! a 200 Gbps device (a 4 KB MTU packet at 200 Gbps lasts ~164 ns).
+//! measured in integer nanoseconds. Integer nanoseconds keep ordering and
+//! arithmetic on instants exact (no floating point ties) while still being
+//! fine grained enough to express per-packet and per-DMA-transaction
+//! latencies on a 200 Gbps device (a 4 KB MTU packet at 200 Gbps lasts
+//! ~164 ns).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -25,8 +25,8 @@
 //!
 //! Layers (each is its own crate, usable independently):
 //!
-//! * [`sim`] — deterministic simulation substrate (time, events, RNG,
-//!   counters, statistics).
+//! * [`sim`] — deterministic simulation substrate (time, units, RNG,
+//!   counters, statistics, time series).
 //! * [`host`] — host hardware model (PCIe, NUMA, GPUs, DDIO, switch) and
 //!   the Table-1 host presets.
 //! * [`rnic`] — the RNIC behavioural model, counters, bottleneck rules and

@@ -8,37 +8,27 @@
 //!
 //! This suite makes the contract explicit: the full fig4, fig5, and fig7
 //! strategy×seed grids are re-run and their canonical JSON encodings are
-//! diffed byte-for-byte against committed fixtures under `tests/fixtures/`.
-//! Two fixture generations coexist, because the kernel-unification PR made
-//! exactly two deliberate behaviour changes alongside the refactor:
+//! diffed byte-for-byte against committed fixtures under `tests/fixtures/`:
 //!
-//! * `golden_fig{4,5,7}.json` — recorded from the **pre-kernel** (PR 3)
-//!   code. The two-host grids are re-run under
-//!   [`SearchConfig::with_legacy_two_host_semantics`] (no stuck-walk
-//!   escape, containment-only dedup), which proves the generic
-//!   `CampaignLoop`/`MfsExtractor` moved *neither RNG stream*: every
-//!   divergence from these fixtures is refactor breakage, never an
-//!   intended fix. The fabric grid runs with defaults — the kernel adopted
-//!   the fabric semantics, so fig7 is bit-identical without a compat mode.
-//! * `golden_fig{4,5}_kernel.json` — recorded from the unified kernel with
-//!   its default semantics (stuck-walk escape at 24, identity-keyed
-//!   dedup), pinning the *new* behaviour against future drift.
+//! * `golden_fig4_kernel.json` and `golden_fig5_kernel.json` — the
+//!   two-host fig4 and fig5 grids.
+//! * `golden_fig7.json` — the fabric grid's random and Collie columns.
 //! * `golden_fig7_bo.json` — the fabric BO column (3 seeds), pinning the
-//!   generic `run_bayesian` driver on the fabric domain. First-generation:
-//!   the pre-kernel code had no fabric BO cell (a Bayesian config silently
-//!   ran the random baseline), so this fixture — unlike `golden_fig7.json`
-//!   — is recordable.
+//!   generic `run_bayesian` driver on the fabric domain. Together with
+//!   `golden_fig7.json` it covers the 3-strategy × 3-seed grid the `fig7`
+//!   binary reports.
 //!
-//! A mismatch means an RNG stream or a discovery outcome moved —
-//! intentional changes must re-record with:
+//! Every fixture pins the current code. A mismatch means an RNG stream or
+//! a discovery outcome moved — intentional changes must re-record with:
 //!
 //! ```text
 //! GOLDEN_RECORD=1 cargo test --release -q golden
 //! ```
 //!
-//! and justify the diff in the PR description. (Recording regenerates only
-//! the current-code fixtures it is pointed at; the pre-kernel files are
-//! historical and must never be regenerated.)
+//! and justify the diff in the PR description. Recording writes each
+//! fixture with one trailing newline, which the comparison trims, so
+//! re-recording unchanged code leaves `tests/fixtures/` byte-identical
+//! (CI checks exactly that).
 
 use collie_bench::{run_campaign_matrix, run_fabric_campaign_matrix, CampaignSpec, DEFAULT_SEEDS};
 use collie_core::fabric::FabricOutcome;
@@ -153,17 +143,12 @@ fn fixture_path(name: &str) -> PathBuf {
 
 /// Serialize, then either record (GOLDEN_RECORD=1) or diff against the
 /// committed fixture, reporting the first differing line on mismatch.
-///
-/// `recordable` is false for the pre-kernel fixtures: they are historical
-/// artefacts of the code that predates the generic kernel and can only be
-/// compared against, never regenerated.
-fn record_or_compare(name: &str, cells: &[GoldenCell], recordable: bool) {
+fn record_or_compare(name: &str, cells: &[GoldenCell]) {
     let rendered = serde_json::to_string_pretty(cells).expect("golden cells serialize");
     let path = fixture_path(name);
-    if recordable
-        && std::env::var("GOLDEN_RECORD")
-            .map(|v| v == "1")
-            .unwrap_or(false)
+    if std::env::var("GOLDEN_RECORD")
+        .map(|v| v == "1")
+        .unwrap_or(false)
     {
         std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");
         std::fs::write(&path, rendered + "\n").expect("write fixture");
@@ -236,10 +221,8 @@ fn fig5_cells() -> Vec<CampaignSpec> {
         .collect()
 }
 
-/// The pre-kernel fig7 grid: random and counter-guided fabric campaigns,
-/// three seeds (the fabric BO cells did not exist yet — a Bayesian config
-/// was silently mapped to the random baseline, so the historical fixture
-/// has no honest BO column to compare against).
+/// The fig7 grid's random and counter-guided fabric columns, three seeds
+/// each (the BO column is its own fixture, `golden_fig7_bo.json`).
 fn fig7_cells() -> Vec<CampaignSpec> {
     let configs = [SearchConfig::random(0), SearchConfig::collie(0)];
     configs
@@ -271,48 +254,23 @@ fn run_two_host_grid(cells: &[CampaignSpec]) -> Vec<GoldenCell> {
         .collect()
 }
 
-/// The same grid with the pre-kernel two-host semantics (no stuck-walk
-/// escape, containment-only dedup) — the configuration whose streams must
-/// be bit-identical to the pre-refactor fixtures.
-fn legacy(cells: Vec<CampaignSpec>) -> Vec<CampaignSpec> {
-    cells
-        .into_iter()
-        .map(|cell| CampaignSpec {
-            config: cell.config.with_legacy_two_host_semantics(),
-            ..cell
-        })
-        .collect()
-}
-
-#[test]
-fn golden_fig4_discovery_sequences_are_bit_identical_to_the_pre_kernel_code() {
-    let golden = run_two_host_grid(&legacy(fig4_cells()));
-    record_or_compare("golden_fig4.json", &golden, false);
-}
-
-#[test]
-fn golden_fig5_discovery_sequences_are_bit_identical_to_the_pre_kernel_code() {
-    let golden = run_two_host_grid(&legacy(fig5_cells()));
-    record_or_compare("golden_fig5.json", &golden, false);
-}
-
 #[test]
 fn golden_fig4_kernel_semantics_are_pinned() {
-    // The default semantics: stuck-walk escape + identity-keyed dedup.
     let golden = run_two_host_grid(&fig4_cells());
-    record_or_compare("golden_fig4_kernel.json", &golden, true);
+    record_or_compare("golden_fig4_kernel.json", &golden);
 }
 
 #[test]
 fn golden_fig5_kernel_semantics_are_pinned() {
     let golden = run_two_host_grid(&fig5_cells());
-    record_or_compare("golden_fig5_kernel.json", &golden, true);
+    record_or_compare("golden_fig5_kernel.json", &golden);
 }
 
 #[test]
 fn golden_fig7_fabric_discovery_sequences_are_bit_identical_to_the_pre_kernel_code() {
-    // The kernel adopted the fabric semantics wholesale, so the default
-    // configuration must reproduce the pre-refactor fabric streams.
+    // The kernel adopted the fabric semantics wholesale, so this fixture,
+    // first recorded from the pre-kernel fabric code, still replays
+    // unchanged.
     let cells = fig7_cells();
     let outcomes = run_fabric_campaign_matrix(&cells, 2);
     let golden: Vec<GoldenCell> = cells
@@ -320,17 +278,14 @@ fn golden_fig7_fabric_discovery_sequences_are_bit_identical_to_the_pre_kernel_co
         .zip(&outcomes)
         .map(|(cell, (outcome, _))| GoldenCell::from_fabric(outcome, cell.config.seed))
         .collect();
-    record_or_compare("golden_fig7.json", &golden, false);
+    record_or_compare("golden_fig7.json", &golden);
 }
 
 #[test]
 fn golden_fig7_bayesian_fabric_cells_are_pinned() {
-    // The fabric BO column is first-generation: `SearchStrategy::Bayesian`
-    // used to run the *random* baseline on fabric spaces (while the report
-    // still said "BO"), so there is no pre-kernel stream to compare
-    // against. This fixture pins the real generic-BO driver's fabric
-    // streams from the PR that introduced them; together with
-    // `golden_fig7.json` it covers the full 3-strategy × 3-seed fig7 grid.
+    // The fabric BO column: the generic-BO driver's fabric streams.
+    // Together with `golden_fig7.json` it covers the full 3-strategy ×
+    // 3-seed fig7 grid.
     let cells = fig7_bo_cells();
     let outcomes = run_fabric_campaign_matrix(&cells, 2);
     let golden: Vec<GoldenCell> = cells
@@ -338,7 +293,7 @@ fn golden_fig7_bayesian_fabric_cells_are_pinned() {
         .zip(&outcomes)
         .map(|(cell, (outcome, _))| GoldenCell::from_fabric(outcome, cell.config.seed))
         .collect();
-    record_or_compare("golden_fig7_bo.json", &golden, true);
+    record_or_compare("golden_fig7_bo.json", &golden);
 }
 
 /// The same cells with memoization pinned explicitly (rather than
@@ -450,10 +405,10 @@ fn golden_grids_are_memoization_independent() {
     );
     assert!(outcomes[0].1.hits > 0 && outcomes[1].1.hits == 0);
 
-    // And whole grids, one second-generation grid per stack: the memo-off
-    // replay must reproduce the memo-on oracle byte for byte. The oracle
-    // pins memoization on explicitly so the comparison is meaningful under
-    // the COLLIE_MEMOIZE=0 CI leg as well.
+    // And whole grids, one grid per stack: the memo-off replay must
+    // reproduce the memo-on oracle byte for byte. The oracle pins
+    // memoization on explicitly so the comparison is meaningful under the
+    // COLLIE_MEMOIZE=0 CI leg as well.
     let cells = fig4_cells();
     assert_same_stream(
         "golden_fig4_kernel.json (memoize off)",

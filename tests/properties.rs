@@ -11,6 +11,8 @@
 //!   and a warm engine walking a mutation chain measures every point
 //!   exactly as a fresh engine does;
 //! * swapping the two hosts mirrors a measurement exactly;
+//! * applying a mitigation twice, to the workload or to the subsystem,
+//!   is the same as applying it once;
 //! * space sampling and mutation always produce well-formed points, and
 //!   restrictions are never violated;
 //! * an extracted MFS always matches the point it was extracted from, and
@@ -131,6 +133,30 @@ proptest! {
         let point = point_from_seed(seed);
         let cost = WorkloadEngine::experiment_cost(&point).as_secs_f64();
         prop_assert!((20.0..=60.0).contains(&cost), "cost {cost} outside 20–60 s");
+    }
+
+    /// Mitigation idempotence: qualification applies mitigations
+    /// cumulatively, so re-applying one must change nothing.
+    #[test]
+    fn applying_a_mitigation_twice_equals_applying_it_once(seed in any::<u64>()) {
+        let point = point_from_seed(seed);
+        for mitigation in Mitigation::ALL {
+            let mut once = point.clone();
+            mitigation.apply_to_workload(&mut once);
+            let mut twice = once.clone();
+            mitigation.apply_to_workload(&mut twice);
+            prop_assert!(once == twice, "{mitigation:?} twice on {point}: {twice}, once: {once}");
+
+            let mut engine_once = WorkloadEngine::for_catalog(SubsystemId::F);
+            let mut engine_twice = WorkloadEngine::for_catalog(SubsystemId::F);
+            mitigation.apply_to_subsystem(engine_once.subsystem_mut());
+            mitigation.apply_to_subsystem(engine_twice.subsystem_mut());
+            mitigation.apply_to_subsystem(engine_twice.subsystem_mut());
+            prop_assert!(
+                engine_once.measure(&point) == engine_twice.measure(&point),
+                "{mitigation:?} applied twice to the subsystem measures {point} differently"
+            );
+        }
     }
 }
 
