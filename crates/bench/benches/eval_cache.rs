@@ -1,5 +1,5 @@
-//! Evaluation-cache bench: the same Collie campaign on subsystem F with the
-//! memoized evaluator on (default) and off (the uncached reference path).
+//! Evaluation-cache bench: the same Collie campaign on subsystem F through
+//! the memoizing evaluator and through the uncached reference.
 //!
 //! The two variants produce bit-identical `SearchOutcome`s — memoization
 //! only skips the flow-model recompute, never the simulated cost accounting
@@ -7,29 +7,39 @@
 //! assertion below keeps the bench honest about that identity.
 
 use collie_core::engine::WorkloadEngine;
-use collie_core::search::{run_search, run_search_with_stats, SearchConfig};
+use collie_core::eval::{EvalStats, Evaluator};
+use collie_core::search::{run_search_on, SearchConfig, SearchOutcome};
 use collie_core::space::SearchSpace;
 use collie_rnic::subsystems::SubsystemId;
 use collie_sim::time::SimDuration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-fn config(memoize: bool) -> SearchConfig {
-    SearchConfig::collie(17)
-        .with_budget(SimDuration::from_secs(2 * 3600))
-        .with_memoization(memoize)
+/// How a campaign builds its evaluator over the engine.
+type MakeEvaluator = fn(&mut WorkloadEngine) -> Evaluator<'_>;
+
+/// One 2-hour Collie campaign on a fresh engine through `evaluator`, with
+/// the evaluator's cache stats.
+fn campaign(evaluator: MakeEvaluator) -> (SearchOutcome, EvalStats) {
+    let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
+    let space = SearchSpace::for_host(&SubsystemId::F.host());
+    let config = SearchConfig::collie(17).with_budget(SimDuration::from_secs(2 * 3600));
+    let mut evaluator = evaluator(&mut engine);
+    let outcome = run_search_on(&mut evaluator, &space, &config);
+    (outcome, evaluator.stats())
 }
 
 fn bench_eval_cache(c: &mut Criterion) {
+    let variants: [(&str, MakeEvaluator); 2] = [
+        ("memoized", |engine| Evaluator::new(engine)),
+        ("uncached", |engine| Evaluator::uncached(engine)),
+    ];
+
     // Honesty check: the cached and uncached campaigns must agree bit for
     // bit (discoveries, milestones, elapsed simulated time) before their
     // timings are worth comparing.
     {
-        let space = SearchSpace::for_host(&SubsystemId::F.host());
-        let mut cached_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let (cached, profile) = run_search_with_stats(&mut cached_engine, &space, &config(true));
-        let stats = profile.stats;
-        let mut uncached_engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let uncached = run_search(&mut uncached_engine, &space, &config(false));
+        let (cached, stats) = campaign(variants[0].1);
+        let (uncached, _) = campaign(variants[1].1);
         assert_eq!(cached, uncached, "memoization changed the outcome");
         assert!(stats.hits > 0, "campaign never hit the cache: {stats:?}");
         eprintln!(
@@ -42,14 +52,8 @@ fn bench_eval_cache(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("eval_cache/collie_2h_subsystem_f");
     group.sample_size(10);
-    for (label, memoize) in [("memoized", true), ("uncached", false)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-                let space = SearchSpace::for_host(&SubsystemId::F.host());
-                black_box(run_search(&mut engine, &space, &config(memoize)))
-            })
-        });
+    for (label, evaluator) in variants {
+        group.bench_function(label, |b| b.iter(|| black_box(campaign(evaluator))));
     }
     group.finish();
 }

@@ -25,8 +25,8 @@ use collie_bench::{
     validate_bench_report, BenchCell, BenchReport, CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
 };
 use collie_core::engine::WorkloadEngine;
-use collie_core::eval::EvalStats;
-use collie_core::search::{SearchConfig, SignalMode};
+use collie_core::eval::{EvalStats, Evaluator};
+use collie_core::search::{run_search_on, SearchConfig, SignalMode};
 use collie_core::space::{SearchPoint, SearchSpace};
 use collie_rnic::subsystems::SubsystemId;
 use collie_rnic::workload::{Opcode, Transport};
@@ -215,29 +215,36 @@ fn grid(subsystem: SubsystemId, configs: &[SearchConfig], seeds: &[u64]) -> Vec<
         .collect()
 }
 
-/// The memoization bench: the same Collie campaign with the memo cache on
-/// and off (the `eval_cache` Criterion bench's headline, as a tracked
-/// number).
+/// The memoization bench: the same Collie campaign through the memoizing
+/// evaluator and through the uncached reference (the `eval_cache`
+/// Criterion bench's headline, as a tracked number).
 fn eval_cache_bench(subsystem: SubsystemId, mode: &str, budget: SimDuration) -> BenchReport {
-    let memoized = SearchConfig::collie(0).with_budget(budget);
-    let uncached = SearchConfig {
-        memoize: false,
-        ..memoized.clone()
+    let seed = DEFAULT_SEEDS[0];
+    let config = SearchConfig::collie(seed).with_budget(budget);
+    let space = SearchSpace::for_host(&subsystem.host());
+    let run_cell = |label: &str, evaluator: fn(&mut WorkloadEngine) -> Evaluator<'_>| {
+        let mut engine = WorkloadEngine::for_catalog(subsystem);
+        let started = Instant::now();
+        let mut evaluator = evaluator(&mut engine);
+        run_search_on(&mut evaluator, &space, &config);
+        let profile = evaluator.profile();
+        // Timed like a matrix cell: building and freeing the cache count.
+        drop(evaluator);
+        BenchCell::new(
+            label,
+            seed,
+            started.elapsed().as_secs_f64(),
+            profile.stats,
+            &profile.compute_nanos,
+        )
     };
-    let cells = [
-        CampaignSpec::seeded(subsystem, &memoized, DEFAULT_SEEDS[0]),
-        CampaignSpec::seeded(subsystem, &uncached, DEFAULT_SEEDS[0]),
-    ];
-    let report = run_campaign_matrix_report(&cells, &MatrixOptions::new(default_workers()));
-    let labels = ["memoized", "uncached"];
     BenchReport {
         name: "eval_cache".to_string(),
         mode: mode.to_string(),
-        cells: labels
-            .iter()
-            .zip(&report.cells)
-            .map(|(label, cell)| cell.bench_cell(label, DEFAULT_SEEDS[0]))
-            .collect(),
+        cells: vec![
+            run_cell("memoized", |engine| Evaluator::new(engine)),
+            run_cell("uncached", |engine| Evaluator::uncached(engine)),
+        ],
     }
 }
 

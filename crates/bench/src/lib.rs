@@ -17,13 +17,11 @@ pub mod report;
 
 pub use report::{latency_summary, validate_bench_report, BenchCache, BenchCell, BenchReport};
 
-use collie_core::engine::WorkloadEngine;
-use collie_core::eval::{EvalProfile, EvalStats};
-use collie_core::fabric::{run_fabric_search_with_stats, FabricEngine, FabricOutcome};
-use collie_core::remedy::{
-    DiscoveredTrigger, QualificationRecord, Qualifier, RegressionCatalog, RegressionFlag,
-};
-use collie_core::search::{run_search_with_stats, SearchConfig, SearchOutcome};
+use collie_core::engine::{Engine, WorkloadEngine};
+use collie_core::eval::{EvalStats, Evaluator};
+use collie_core::fabric::{run_fabric_search_on, FabricEngine, FabricOutcome};
+use collie_core::remedy::{DiscoveredTrigger, QualificationRecord, Qualifier};
+use collie_core::search::{run_search_on, SearchConfig, SearchOutcome};
 use collie_core::space::{FabricSpace, SearchSpace};
 use collie_rnic::subsystems::SubsystemId;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -136,11 +134,6 @@ pub struct MatrixOptions {
     /// outcomes (and the golden-trace fixtures) are byte-identical either
     /// way.
     pub qualify: bool,
-    /// A previously-saved [`RegressionCatalog`] the qualification phase
-    /// consults: discoveries it already records as cleared are skipped
-    /// (counted, not re-reported), and every cleared record is replayed to
-    /// flag regressions. Ignored unless `qualify` is set.
-    pub regression_catalog: Option<RegressionCatalog>,
 }
 
 impl MatrixOptions {
@@ -149,7 +142,6 @@ impl MatrixOptions {
         MatrixOptions {
             workers,
             qualify: false,
-            regression_catalog: None,
         }
     }
 
@@ -158,24 +150,15 @@ impl MatrixOptions {
         self.qualify = true;
         self
     }
-
-    /// Consult (and regression-check) a previously-saved catalog during the
-    /// qualification phase. Implies [`MatrixOptions::with_qualification`].
-    pub fn with_regression_catalog(mut self, catalog: RegressionCatalog) -> MatrixOptions {
-        self.qualify = true;
-        self.regression_catalog = Some(catalog);
-        self
-    }
 }
 
 /// One finished matrix cell: the campaign outcome plus everything the perf
 /// harness reports about how it ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell<O> {
-    /// The campaign outcome (independent of cache mode and pool width).
+    /// The campaign outcome (independent of the pool width).
     pub outcome: O,
-    /// Evaluation-cache hit/miss counters (bit-identical in every cache
-    /// mode).
+    /// Evaluation-cache hit/miss counters (independent of the pool width).
     pub stats: EvalStats,
     /// Real wall-clock the cell took, in seconds.
     pub wall_secs: f64,
@@ -196,23 +179,16 @@ pub struct MatrixReport<O> {
 }
 
 /// The verification phase of a matrix run: every distinct discovery
-/// qualified through the remediation pipeline, plus the regression sweep of
-/// the pre-loaded catalog.
+/// qualified through the remediation pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualificationPhase {
     /// One record per distinct qualified discovery (dedup by
     /// [`DiscoveredTrigger::identity`] across all cells).
     pub records: Vec<QualificationRecord>,
-    /// Discoveries skipped because the pre-loaded catalog already records
-    /// their identity as cleared under a mitigated fixture.
-    pub skipped_known_cleared: usize,
     /// Discoveries that were not anomalous on a fresh two-host engine
     /// (fabric-only effects have nothing to remediate at the subsystem
     /// level).
     pub not_reproduced: usize,
-    /// Previously-cleared catalog records that are anomalous again under
-    /// their recorded mitigations.
-    pub regressions: Vec<RegressionFlag>,
 }
 
 /// Qualify the deduped discoveries of a finished matrix (see
@@ -221,28 +197,20 @@ pub struct QualificationPhase {
 fn qualification_phase(
     specs: &[CampaignSpec],
     triggers_per_cell: Vec<Vec<DiscoveredTrigger>>,
-    options: &MatrixOptions,
+    workers: usize,
 ) -> QualificationPhase {
-    let catalog = options.regression_catalog.as_ref();
     let mut seen = std::collections::BTreeSet::new();
-    let mut skipped_known_cleared = 0usize;
     let mut work: Vec<(SubsystemId, DiscoveredTrigger)> = Vec::new();
     for (spec, triggers) in specs.iter().zip(triggers_per_cell) {
         for trigger in triggers {
             // The identity string is prefixed with the subsystem, so one
             // set dedups across subsystems too.
-            let identity = trigger.identity(spec.subsystem);
-            if !seen.insert(identity.clone()) {
-                continue;
+            if seen.insert(trigger.identity(spec.subsystem)) {
+                work.push((spec.subsystem, trigger));
             }
-            if catalog.is_some_and(|c| c.is_known_cleared(&identity)) {
-                skipped_known_cleared += 1;
-                continue;
-            }
-            work.push((spec.subsystem, trigger));
         }
     }
-    let qualified = parallel_map(&work, options.workers, |(subsystem, trigger)| {
+    let qualified = parallel_map(&work, workers, |(subsystem, trigger)| {
         let qualifier = Qualifier::for_subsystem(*subsystem);
         let engine = WorkloadEngine::for_catalog(*subsystem);
         qualifier.qualify(&engine, &trigger.point, &trigger.matched_rules)
@@ -250,26 +218,29 @@ fn qualification_phase(
     let not_reproduced = qualified.iter().filter(|r| r.is_none()).count();
     QualificationPhase {
         records: qualified.into_iter().flatten().collect(),
-        skipped_known_cleared,
         not_reproduced,
-        regressions: catalog.map(|c| c.check_regressions()).unwrap_or_default(),
     }
 }
 
 /// The one matrix runner behind both domains: build each cell's engine and
-/// space with `setup`, time `run` over them on the worker pool, then run
-/// the qualification phase over the discoveries `triggers` reads back.
-fn matrix_report<E, S, O: Send>(
+/// space with `setup`, time `run` over them through the cell's own
+/// memoizing [`Evaluator`] on the worker pool, then run the qualification
+/// phase over the discoveries `triggers` reads back.
+fn matrix_report<E: Engine, S, O: Send>(
     specs: &[CampaignSpec],
     options: &MatrixOptions,
     setup: impl Fn(SubsystemId) -> (E, S) + Sync,
-    run: impl Fn(&mut E, &S, &SearchConfig) -> (O, EvalProfile) + Sync,
+    run: impl Fn(&mut Evaluator<'_, E>, &S, &SearchConfig) -> O + Sync,
     triggers: impl Fn(&O) -> Vec<DiscoveredTrigger>,
 ) -> MatrixReport<O> {
     let cells = parallel_map(specs, options.workers, |cell| {
         let (mut engine, space) = setup(cell.subsystem);
         let started = Instant::now();
-        let (outcome, profile) = run(&mut engine, &space, &cell.config);
+        let mut evaluator = Evaluator::new(&mut engine);
+        let outcome = run(&mut evaluator, &space, &cell.config);
+        let profile = evaluator.profile();
+        // The cell's wall-clock covers building and freeing its memo cache.
+        drop(evaluator);
         MatrixCell {
             outcome,
             stats: profile.stats,
@@ -279,7 +250,7 @@ fn matrix_report<E, S, O: Send>(
     });
     let qualification = options.qualify.then(|| {
         let triggers = cells.iter().map(|cell| triggers(&cell.outcome)).collect();
-        qualification_phase(specs, triggers, options)
+        qualification_phase(specs, triggers, options.workers)
     });
     MatrixReport {
         cells,
@@ -290,8 +261,8 @@ fn matrix_report<E, S, O: Send>(
 /// Run every cell of a campaign matrix on a [`MatrixOptions::workers`]-wide
 /// pool, reporting per-cell perf alongside the outcomes. Each cell owns a
 /// fresh engine and evaluates through its own memo cache only, so a cell's
-/// outcome and stats equal a standalone [`run_search_with_stats`] of the
-/// same configuration.
+/// outcome and stats equal a standalone [`run_search_on`] of the same
+/// configuration through a fresh [`Evaluator`].
 pub fn run_campaign_matrix_report(
     specs: &[CampaignSpec],
     options: &MatrixOptions,
@@ -305,7 +276,7 @@ pub fn run_campaign_matrix_report(
                 SearchSpace::for_host(&id.host()),
             )
         },
-        run_search_with_stats,
+        run_search_on,
         SearchOutcome::discovered_triggers,
     )
 }
@@ -327,7 +298,7 @@ pub fn run_fabric_campaign_matrix_report(
                 FabricSpace::for_host(&id.host()),
             )
         },
-        run_fabric_search_with_stats,
+        run_fabric_search_on,
         FabricOutcome::discovered_triggers,
     )
 }
@@ -573,8 +544,9 @@ mod tests {
             .map(|cell| {
                 let mut engine = WorkloadEngine::for_catalog(cell.subsystem);
                 let space = SearchSpace::for_host(&cell.subsystem.host());
-                let (outcome, profile) = run_search_with_stats(&mut engine, &space, &cell.config);
-                (outcome, profile.stats)
+                let mut evaluator = Evaluator::new(&mut engine);
+                let outcome = run_search_on(&mut evaluator, &space, &cell.config);
+                (outcome, evaluator.stats())
             })
             .collect();
         for workers in [1, 2] {
@@ -620,8 +592,8 @@ mod tests {
     fn qualification_phase_rides_along_without_changing_cells() {
         // The mitigation-loop contract at the harness level: turning the
         // verification phase on must not move a single byte of the campaign
-        // cells (it runs after them, on fresh engines), and a catalog built
-        // from one run lets the next run skip everything already cleared.
+        // cells (it runs after them, on fresh engines), and it qualifies
+        // each distinct discovery once.
         let config = SearchConfig::collie(0).with_budget(SimDuration::from_secs(2 * 3600));
         let cells = [CampaignSpec::seeded(SubsystemId::F, &config, 11)];
         let plain = run_campaign_matrix_report(&cells, &MatrixOptions::new(2));
@@ -648,29 +620,6 @@ mod tests {
             distinct.len(),
             "{phase:?}"
         );
-        assert_eq!(phase.skipped_known_cleared, 0);
-        assert!(phase.regressions.is_empty());
-
-        // Feed the run's records back as the persistent catalog: every
-        // cleared record is now skipped instead of re-reported, nothing
-        // regresses, and the uncleared ones are honestly re-qualified.
-        let mut catalog = RegressionCatalog::new();
-        let cleared = phase.records.iter().filter(|r| r.cleared()).count();
-        for record in &phase.records {
-            catalog.upsert(record.clone());
-        }
-        let rerun = run_campaign_matrix_report(
-            &cells,
-            &MatrixOptions::new(2).with_regression_catalog(catalog),
-        );
-        let rerun_phase = rerun.qualification.expect("phase implied by catalog");
-        assert_eq!(rerun_phase.skipped_known_cleared, cleared);
-        assert_eq!(
-            rerun_phase.records.len() + rerun_phase.not_reproduced + cleared,
-            distinct.len()
-        );
-        assert!(rerun_phase.records.iter().all(|r| !r.cleared()));
-        assert!(rerun_phase.regressions.is_empty(), "{rerun_phase:?}");
     }
 
     #[test]
@@ -706,9 +655,9 @@ mod tests {
             .map(|cell| {
                 let mut engine = FabricEngine::for_catalog(cell.subsystem);
                 let space = FabricSpace::for_host(&cell.subsystem.host());
-                let (outcome, profile) =
-                    run_fabric_search_with_stats(&mut engine, &space, &cell.config);
-                (outcome, profile.stats)
+                let mut evaluator = Evaluator::new(&mut engine);
+                let outcome = run_fabric_search_on(&mut evaluator, &space, &cell.config);
+                (outcome, evaluator.stats())
             })
             .collect();
         for workers in [1, 2] {

@@ -26,7 +26,6 @@
 
 use crate::monitor::{AnomalyMonitor, AnomalyVerdict};
 use crate::space::SearchPoint;
-use collie_host::memory::MemoryTarget;
 use collie_rnic::bottleneck::{evaluate_rules, FlowContext};
 use collie_rnic::subsystem::{Measurement, Subsystem};
 use collie_rnic::subsystems::SubsystemId;
@@ -363,11 +362,6 @@ impl Engine for WorkloadEngine {
     fn ground_truth(&self, point: &SearchPoint) -> Vec<&'static str> {
         WorkloadEngine::ground_truth(self, point)
     }
-}
-
-/// Convenience: the memory targets a benign local-DRAM point uses.
-pub fn local_dram_pair() -> (MemoryTarget, MemoryTarget) {
-    (MemoryTarget::local_dram(), MemoryTarget::local_dram())
 }
 
 #[cfg(test)]

@@ -10,14 +10,14 @@
 //!
 //! The parsers are separated from the env reads so they can be tested
 //! without mutating process-global state under a parallel test runner;
-//! the typed readers ([`memoize`], [`workers`]) are the
-//! only places in the workspace that actually read a `COLLIE_*` variable.
+//! the typed reader ([`workers`]) is the only place in the workspace that
+//! actually reads a `COLLIE_*` variable.
 
 /// One registered environment hook: the variable name, its default when
 /// unset, the accepted grammar (clamps included), and what it steers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hook {
-    /// The environment variable, e.g. `COLLIE_MEMOIZE`.
+    /// The environment variable, e.g. `COLLIE_WORKERS`.
     pub name: &'static str,
     /// Human-readable default when the variable is unset.
     pub default: &'static str,
@@ -30,21 +30,12 @@ pub struct Hook {
 /// Every `COLLIE_*` hook the workspace honours. `collie-lint` rejects any
 /// env read whose name is missing here, and checks each entry is
 /// documented in the README table.
-pub const HOOKS: [Hook; 2] = [
-    Hook {
-        name: "COLLIE_MEMOIZE",
-        default: "on",
-        grammar: "`0` / `false` / `off` (case-insensitive) disable; anything else is on",
-        doc: "Constructor default for measurement memoization; outcomes are \
-              bit-identical either way (CI runs an uncached leg).",
-    },
-    Hook {
-        name: "COLLIE_WORKERS",
-        default: "auto (machine parallelism clamped to 2..=16)",
-        grammar: "a positive integer; `0` clamps to 1; malformed values fall back to auto",
-        doc: "Matrix worker-pool width override.",
-    },
-];
+pub const HOOKS: [Hook; 1] = [Hook {
+    name: "COLLIE_WORKERS",
+    default: "auto (machine parallelism clamped to 2..=16)",
+    grammar: "a positive integer; `0` clamps to 1; malformed values fall back to auto",
+    doc: "Matrix worker-pool width override.",
+}];
 
 /// Look a hook up by variable name (`None` for unregistered names — the
 /// condition `collie-lint` rule `env-registry` reports).
@@ -53,16 +44,11 @@ pub fn hook(name: &str) -> Option<&'static Hook> {
 }
 
 /// Read one registered hook from the process environment. Private so the
-/// typed readers below stay the only consumers; `debug_assert`s that the
+/// typed reader below stays the only consumer; `debug_assert`s that the
 /// name went through the registry.
 fn read(name: &'static str) -> Option<String> {
     debug_assert!(hook(name).is_some(), "unregistered env hook {name}");
     std::env::var(name).ok()
-}
-
-/// The process-wide `COLLIE_MEMOIZE` setting (see [`HOOKS`]).
-pub fn memoize() -> bool {
-    parse_memoize(read("COLLIE_MEMOIZE").as_deref())
 }
 
 /// The process-wide `COLLIE_WORKERS` override (see [`HOOKS`]); `None`
@@ -70,21 +56,6 @@ pub fn memoize() -> bool {
 /// width).
 pub fn workers() -> Option<usize> {
     parse_workers(read("COLLIE_WORKERS").as_deref())
-}
-
-/// `COLLIE_MEMOIZE` parser. Disable values are matched case-insensitively
-/// so an operator's `COLLIE_MEMOIZE=OFF` cannot silently leave the cache
-/// on.
-pub fn parse_memoize(value: Option<&str>) -> bool {
-    match value {
-        Some(value) => {
-            let value = value.trim();
-            !["0", "false", "off"]
-                .iter()
-                .any(|disable| value.eq_ignore_ascii_case(disable))
-        }
-        None => true,
-    }
 }
 
 /// `COLLIE_WORKERS` parser. Positive integers are honoured as-is; `0`
@@ -112,28 +83,10 @@ mod tests {
             );
         }
         assert_eq!(
-            hook("COLLIE_MEMOIZE").map(|h| h.name),
-            Some("COLLIE_MEMOIZE")
+            hook("COLLIE_WORKERS").map(|h| h.name),
+            Some("COLLIE_WORKERS")
         );
         assert_eq!(hook("COLLIE_NO_SUCH_HOOK"), None);
-    }
-
-    #[test]
-    fn memoize_parser_honours_the_toggle_values() {
-        // CI exports COLLIE_MEMOIZE=0 for the uncached matrix leg; this
-        // pins the parser without touching process-global state.
-        for (value, expected) in [
-            (Some("0"), false),
-            (Some("false"), false),
-            (Some("off"), false),
-            (Some("OFF"), false),
-            (Some("False"), false),
-            (Some(" 0 "), false),
-            (Some("1"), true),
-            (None, true),
-        ] {
-            assert_eq!(parse_memoize(value), expected, "COLLIE_MEMOIZE={value:?}");
-        }
     }
 
     #[test]

@@ -369,8 +369,9 @@ impl<'e, E: Engine> Evaluator<'e, E> {
         }
     }
 
-    /// An evaluator that always recomputes (the uncached reference path,
-    /// used by the ablation bench and the bit-identity tests).
+    /// An evaluator that always recomputes: the uncached reference that
+    /// the bit-identity tests and the `eval_cache` benches compare the
+    /// memoizing [`Evaluator::new`] against. No campaign runner builds one.
     pub fn uncached(engine: &'e mut E) -> Self {
         Evaluator {
             memoize: false,

@@ -20,7 +20,7 @@
 //! relabelled random baseline.
 
 use super::{FabricEngine, FabricEvaluator};
-use crate::eval::{EvalProfile, EvalStats};
+use crate::eval::EvalStats;
 use crate::monitor::{AnomalyMonitor, FeatureCondition, Symptom};
 use crate::search::domain::{CampaignReport, ExtractionCost, SearchDomain};
 use crate::search::kernel::run_campaign;
@@ -334,36 +334,31 @@ impl SearchDomain for FabricDomain<'_, '_> {
     }
 }
 
-/// Run one fabric campaign.
+/// Run one fabric campaign, measuring through a fresh memoizing
+/// [`FabricEvaluator`].
 pub fn run_fabric_search(
     engine: &mut FabricEngine,
     space: &FabricSpace,
     config: &SearchConfig,
 ) -> FabricOutcome {
-    run_fabric_search_with_stats(engine, space, config).0
+    run_fabric_search_on(&mut FabricEvaluator::new(engine), space, config)
 }
 
-/// Run one fabric campaign through its own memo cache and also return the
-/// evaluator's [`EvalProfile`] (the fabric counterpart of
-/// [`run_search_with_stats`](crate::search::run_search_with_stats); the
-/// outcome itself is independent of the cache).
-pub fn run_fabric_search_with_stats(
-    engine: &mut FabricEngine,
+/// Run one fabric campaign with every measurement going through
+/// `evaluator` (the fabric counterpart of
+/// [`run_search_on`](crate::search::run_search_on); the outcome itself is
+/// independent of the cache).
+pub fn run_fabric_search_on(
+    evaluator: &mut FabricEvaluator,
     space: &FabricSpace,
     config: &SearchConfig,
-) -> (FabricOutcome, EvalProfile) {
+) -> FabricOutcome {
     let monitor = AnomalyMonitor::new();
-    let mut evaluator = if config.memoize {
-        FabricEvaluator::new(engine)
-    } else {
-        FabricEvaluator::uncached(engine)
-    };
-    let domain = FabricDomain::new(&mut evaluator, &monitor, space, config.signal);
+    let domain = FabricDomain::new(evaluator, &monitor, space, config.signal);
     // The label comes from the strategy, so it always names the kernel
     // driver `run_campaign` dispatched to.
     let label = format!("{} fabric", config.label());
-    let outcome = FabricOutcome::from_report(label, run_campaign(domain, config));
-    (outcome, evaluator.profile())
+    FabricOutcome::from_report(label, run_campaign(domain, config))
 }
 
 #[cfg(test)]

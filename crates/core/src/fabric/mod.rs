@@ -14,8 +14,8 @@
 //!   spread gauges. It implements [`Engine`], so the one memoizing
 //!   [`Evaluator`] serves it as [`FabricEvaluator`]: fabric measurements
 //!   are a pure function of the [`FabricPoint`], so whole measurements are
-//!   memoized by canonical point and campaigns are bit-identical with the
-//!   cache on or off.
+//!   memoized by canonical point and campaigns are bit-identical to the
+//!   uncached reference.
 //! * [`assess_fabric`] applies the §5.2 anomaly conditions to the fabric
 //!   observables and additionally labels the cross-host hallmark: a victim
 //!   flow collapsing while the culprit's own throughput stays healthy.
@@ -30,7 +30,7 @@ mod campaign;
 mod mfs;
 
 pub use campaign::{
-    run_fabric_search, run_fabric_search_with_stats, FabricDiscovery, FabricDomain, FabricOutcome,
+    run_fabric_search, run_fabric_search_on, FabricDiscovery, FabricDomain, FabricOutcome,
 };
 pub use mfs::{FabricMfs, FabricSignature};
 

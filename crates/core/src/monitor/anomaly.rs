@@ -153,16 +153,18 @@ impl AnomalyMonitor {
     /// deterministic, so the repeats exist for procedural fidelity; a
     /// monitor wrapping a noisy subsystem would average them.)
     ///
-    /// This is the uncached convenience for one-off assessments; campaigns
-    /// run the same procedure through their shared memo cache via
+    /// This is the convenience for one-off assessments; campaigns run the
+    /// same procedure through their own memo cache via
     /// [`Evaluator::measure_and_assess`](crate::eval::Evaluator), to which
-    /// this delegates so there is exactly one sampling loop.
+    /// this delegates through a fresh evaluator so there is exactly one
+    /// sampling loop (the repeats are cache hits, one flow-model compute in
+    /// all).
     pub fn measure_and_assess(
         &self,
         engine: &mut crate::engine::WorkloadEngine,
         point: &crate::space::SearchPoint,
     ) -> (Measurement, AnomalyVerdict) {
-        crate::eval::Evaluator::uncached(engine).measure_and_assess(self, point)
+        crate::eval::Evaluator::new(engine).measure_and_assess(self, point)
     }
 }
 

@@ -22,7 +22,7 @@ pub use campaign::{Discovery, RuleHit, SearchOutcome, WorkloadDomain};
 pub use domain::{CampaignReport, ExtractionCost, SearchDomain};
 
 use crate::engine::WorkloadEngine;
-use crate::eval::{EvalProfile, Evaluator};
+use crate::eval::Evaluator;
 use crate::monitor::AnomalyMonitor;
 use crate::space::SearchSpace;
 use collie_sim::time::SimDuration;
@@ -91,20 +91,12 @@ pub struct SearchConfig {
     /// Whether the minimal-feature-set skip is applied (the "w/o MFS"
     /// ablation of Figure 5 turns this off).
     pub use_mfs: bool,
-    /// Whether measurements are memoized by the campaign's
-    /// [`Evaluator`]. Memoization only skips the
-    /// flow-model recompute — simulated hardware cost is charged either way
-    /// — so the [`SearchOutcome`] is bit-identical with it on or off; the
-    /// toggle exists for the cache-ablation bench and identity tests.
-    ///
-    /// Defaults to on; the `COLLIE_MEMOIZE=0` environment variable flips
-    /// the constructor default so CI can run the whole suite uncached and
-    /// cache divergence can never hide behind the default. Tests that
-    /// assert cache *statistics* must pin the toggle with
-    /// [`SearchConfig::with_memoization`]. The knob is an execution detail
-    /// excluded from serialization, so it cannot leak into golden
-    /// fixtures; deserialized configs fall back to the uncached path,
-    /// which is always correct.
+    /// Inert: every constructor sets it to `true` and nothing in the
+    /// workspace reads it. Every campaign measures through the memoizing
+    /// [`Evaluator::new`]; [`Evaluator::uncached`] is only the reference the
+    /// bit-identity tests and the cache benches compare against. Kept only
+    /// because the campaign benchmark (`crates/campaign-bench/src/layers.rs`)
+    /// still reads it; ROADMAP's next benchmark revision deletes it.
     #[serde(skip)]
     pub memoize: bool,
     /// Seed for the campaign's randomness.
@@ -150,7 +142,7 @@ impl SearchConfig {
             strategy: SearchStrategy::SimulatedAnnealing,
             signal: SignalMode::Diagnostic,
             use_mfs: true,
-            memoize: SearchConfig::default_memoize(),
+            memoize: true,
             seed,
             budget: SimDuration::from_secs(10 * 3600),
             initial_temperature: 1.0,
@@ -197,13 +189,6 @@ impl SearchConfig {
         self
     }
 
-    /// Enable or disable measurement memoization (on by default; turning it
-    /// off is the uncached reference path of the evaluation-cache bench).
-    pub fn with_memoization(mut self, memoize: bool) -> SearchConfig {
-        self.memoize = memoize;
-        self
-    }
-
     /// A descriptive label such as "Collie(Diag)" or "BO w/o MFS(Perf)".
     pub fn label(&self) -> String {
         if self.strategy == SearchStrategy::Random {
@@ -218,45 +203,28 @@ impl SearchConfig {
     }
 }
 
-impl SearchConfig {
-    /// The constructor default for [`SearchConfig::memoize`]: on, unless
-    /// the `COLLIE_MEMOIZE` environment variable disables it (`0`,
-    /// `false`, or `off`) so CI can run the whole suite through the
-    /// uncached path. A thin wrapper over the [`crate::env`] registry —
-    /// the hook's grammar, clamp, and documentation live there, exactly
-    /// once.
-    pub fn default_memoize() -> bool {
-        crate::env::memoize()
-    }
-}
-
-/// Run one search campaign on a subsystem.
+/// Run one search campaign on a subsystem, measuring through a fresh
+/// memoizing [`Evaluator`].
 pub fn run_search(
     engine: &mut WorkloadEngine,
     space: &SearchSpace,
     config: &SearchConfig,
 ) -> SearchOutcome {
-    run_search_with_stats(engine, space, config).0
+    run_search_on(&mut Evaluator::new(engine), space, config)
 }
 
-/// Run one search campaign through its own memo cache and also return the
-/// evaluator's [`EvalProfile`]: the cache statistics (the outcome itself is
-/// independent of the cache) and per-compute latencies the perf harnesses
-/// report.
-pub fn run_search_with_stats(
-    engine: &mut WorkloadEngine,
+/// Run one search campaign with every measurement going through
+/// `evaluator`, so its [`Evaluator::profile`] afterwards holds the cache
+/// statistics and per-compute latencies the perf harnesses report (the
+/// outcome itself is independent of the cache).
+pub fn run_search_on(
+    evaluator: &mut Evaluator,
     space: &SearchSpace,
     config: &SearchConfig,
-) -> (SearchOutcome, EvalProfile) {
+) -> SearchOutcome {
     let monitor = AnomalyMonitor::new();
-    let mut evaluator = if config.memoize {
-        Evaluator::new(engine)
-    } else {
-        Evaluator::uncached(engine)
-    };
-    let domain = WorkloadDomain::new(&mut evaluator, &monitor, space, config.signal);
-    let outcome = SearchOutcome::from_report(config.label(), kernel::run_campaign(domain, config));
-    (outcome, evaluator.profile())
+    let domain = WorkloadDomain::new(evaluator, &monitor, space, config.signal);
+    SearchOutcome::from_report(config.label(), kernel::run_campaign(domain, config))
 }
 
 #[cfg(test)]
@@ -365,24 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn constructor_defaults_delegate_to_the_env_registry() {
-        // The parsers themselves are pinned in `crate::env::tests`; this
-        // asserts the constructor defaults read through the registry (the
-        // same process environment must produce the same answers).
-        assert_eq!(SearchConfig::default_memoize(), crate::env::memoize());
-    }
-
-    #[test]
     fn memoize_knob_never_serializes_into_fixtures() {
-        // Memoization is an execution detail: a recorded golden fixture
-        // must not change because the recording host had COLLIE_MEMOIZE
-        // set, and deserialized configs fall back to the always-correct
-        // uncached path.
-        let config = SearchConfig::collie(1).with_memoization(true);
-        let json = serde_json::to_string(&config).unwrap();
+        // The inert field stays `#[serde(skip)]` until it is deleted, so
+        // it can never change a recorded golden fixture.
+        let json = serde_json::to_string(&SearchConfig::collie(1)).unwrap();
         assert!(!json.contains("memoize"), "knob leaked into JSON: {json}");
-        let back: SearchConfig = serde_json::from_str(&json).unwrap();
-        assert!(!back.memoize);
     }
 
     #[test]

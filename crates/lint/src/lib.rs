@@ -440,7 +440,7 @@ mod tests {
         // stale row and one registered row.
         let mut readme = workspace.readme.take().unwrap_or_default();
         readme.push_str("\n| `COLLIE_RETIRED` | on | any | gone |");
-        readme.push_str("\n| `COLLIE_MEMOIZE` | on | any | kept |");
+        readme.push_str("\n| `COLLIE_WORKERS` | auto | any | kept |");
         workspace.readme = Some(readme);
         let report = lint(&workspace, &Options::default());
         let stale_row = collie_core::env::HOOKS.len() as u64 + 1;

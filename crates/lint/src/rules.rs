@@ -569,7 +569,7 @@ mod tests {
 
     #[test]
     fn env_registry_accepts_registered_and_rejects_unregistered() {
-        let ok = r#"let v = std::env::var("COLLIE_MEMOIZE");"#;
+        let ok = r#"let v = std::env::var("COLLIE_WORKERS");"#;
         assert!(rules_fired(DET, ok).is_empty());
         let bad = r#"let v = std::env::var("COLLIE_BOGUS_HOOK");"#;
         let found = candidates(NON_DET, bad);

@@ -69,11 +69,6 @@ impl Measurement {
             .fold(BitRate::ZERO, |acc, d| acc + d.throughput)
     }
 
-    /// Aggregate achieved packet rate across all directions.
-    pub fn total_packet_rate(&self) -> PacketRate {
-        PacketRate::from_pps(self.directions.iter().map(|d| d.packet_rate.pps()).sum())
-    }
-
     /// Metrics for one direction, if it carried traffic.
     pub fn direction(&self, direction: Direction) -> Option<&DirectionMetrics> {
         self.directions.iter().find(|d| d.direction == direction)

@@ -28,11 +28,6 @@ pub enum Transport {
 impl Transport {
     /// All transports, in the order the paper lists them.
     pub const ALL: [Transport; 3] = [Transport::Rc, Transport::Uc, Transport::Ud];
-
-    /// Whether a transport requires per-packet acknowledgements (only RC).
-    pub fn requires_acks(self) -> bool {
-        matches!(self, Transport::Rc)
-    }
 }
 
 impl fmt::Display for Transport {

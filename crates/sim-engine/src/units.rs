@@ -168,11 +168,6 @@ impl BitRate {
         self.0 / 1e9
     }
 
-    /// The bytes transferred at this rate over `d`.
-    pub fn bytes_over(self, d: SimDuration) -> ByteSize {
-        ByteSize::from_bytes((self.bytes_per_sec() * d.as_secs_f64()) as u64)
-    }
-
     /// Time needed to transfer `bytes` at this rate. Returns zero for a zero
     /// payload and `None` for a zero rate and non-zero payload.
     pub fn time_to_send(self, bytes: ByteSize) -> Option<SimDuration> {

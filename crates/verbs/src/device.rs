@@ -125,11 +125,6 @@ impl Context {
         &self.device.host
     }
 
-    /// The RNIC specification behind this context.
-    pub fn rnic_spec(&self) -> &RnicSpec {
-        &self.device.spec
-    }
-
     /// Which host of the testbed this context belongs to.
     pub fn host_index(&self) -> usize {
         self.device.host_index

@@ -7,25 +7,31 @@
 //! as the uncached reference path, while answering a substantial share of
 //! its measurements from the cache instead of the flow model.
 
+use collie::core::eval::{EvalStats, Evaluator};
+use collie::core::fabric::{run_fabric_search_on, FabricEvaluator};
+use collie::core::search::run_search_on;
 use collie::prelude::*;
 use std::time::Instant;
 
-fn campaign(memoize: bool) -> (SearchOutcome, collie::core::eval::EvalStats, f64) {
+fn config() -> SearchConfig {
+    SearchConfig::collie(17).with_budget(SimDuration::from_secs(2 * 3600))
+}
+
+/// One 2-hour Collie campaign on subsystem F through the evaluator `make`
+/// builds: the outcome, the evaluator's cache stats and the wall-clock.
+fn campaign(make: fn(&mut WorkloadEngine) -> Evaluator<'_>) -> (SearchOutcome, EvalStats, f64) {
     let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
     let space = SearchSpace::for_host(&SubsystemId::F.host());
-    let config = SearchConfig::collie(17)
-        .with_budget(SimDuration::from_secs(2 * 3600))
-        .with_memoization(memoize);
+    let mut evaluator = make(&mut engine);
     let started = Instant::now();
-    let (outcome, profile) =
-        collie::core::search::run_search_with_stats(&mut engine, &space, &config);
-    (outcome, profile.stats, started.elapsed().as_secs_f64())
+    let outcome = run_search_on(&mut evaluator, &space, &config());
+    (outcome, evaluator.stats(), started.elapsed().as_secs_f64())
 }
 
 #[test]
 fn memoized_campaign_is_bit_identical_to_the_uncached_path() {
-    let (cached, cached_stats, cached_wall) = campaign(true);
-    let (uncached, uncached_stats, uncached_wall) = campaign(false);
+    let (cached, cached_stats, cached_wall) = campaign(|engine| Evaluator::new(engine));
+    let (uncached, uncached_stats, uncached_wall) = campaign(|engine| Evaluator::uncached(engine));
 
     // Bit-identical outcome: memoization only skips the flow-model
     // recompute, never the simulated cost accounting or the search path.
@@ -58,40 +64,26 @@ fn memoized_campaign_is_bit_identical_to_the_uncached_path() {
     );
 }
 
-#[test]
-fn memoization_is_on_by_default_for_paper_configs() {
-    // The constructor default honours the COLLIE_MEMOIZE override CI uses
-    // to run the whole suite uncached, so derive the expectation from the
-    // one parser instead of hard-coding `true`.
-    let expected = SearchConfig::default_memoize();
-    assert_eq!(SearchConfig::collie(1).memoize, expected);
-    assert_eq!(SearchConfig::random(1).memoize, expected);
-    assert_eq!(SearchConfig::bayesian(1).memoize, expected);
-    // Explicit pins always win over the default.
-    assert!(!SearchConfig::collie(1).with_memoization(false).memoize);
-    assert!(SearchConfig::collie(1).with_memoization(true).memoize);
-}
-
-fn fabric_campaign(memoize: bool) -> (FabricOutcome, collie::core::eval::EvalStats) {
+/// The fabric counterpart of [`campaign`].
+fn fabric_campaign(
+    make: fn(&mut FabricEngine) -> FabricEvaluator<'_>,
+) -> (FabricOutcome, EvalStats) {
     let mut engine = FabricEngine::for_catalog(SubsystemId::F);
     let space = FabricSpace::for_host(&SubsystemId::F.host());
-    let config = SearchConfig::collie(17)
-        .with_budget(SimDuration::from_secs(2 * 3600))
-        .with_memoization(memoize);
-    let (outcome, profile) =
-        collie::core::fabric::run_fabric_search_with_stats(&mut engine, &space, &config);
-    (outcome, profile.stats)
+    let mut evaluator = make(&mut engine);
+    let outcome = run_fabric_search_on(&mut evaluator, &space, &config());
+    (outcome, evaluator.stats())
 }
 
-/// The PR 2 guarantee, extended to the fabric path: a fabric campaign's
-/// outcome — discoveries, fabric MFSes, gauges in the trace, elapsed
-/// simulated time — is bit-identical with memoization on and off, while
-/// the memoized run answers a substantial share of measurements from the
-/// cache.
+/// The same guarantee on the fabric path: a fabric campaign's outcome —
+/// discoveries, fabric MFSes, gauges in the trace, elapsed simulated time
+/// — is bit-identical through the memoizing evaluator and the uncached
+/// reference, while the memoized run answers a substantial share of
+/// measurements from the cache.
 #[test]
 fn memoized_fabric_campaign_is_bit_identical_to_the_uncached_path() {
-    let (cached, cached_stats) = fabric_campaign(true);
-    let (uncached, uncached_stats) = fabric_campaign(false);
+    let (cached, cached_stats) = fabric_campaign(|engine| FabricEvaluator::new(engine));
+    let (uncached, uncached_stats) = fabric_campaign(|engine| FabricEvaluator::uncached(engine));
 
     assert_eq!(cached, uncached);
 
@@ -154,8 +146,8 @@ fn fabric_gauges_are_bit_identical_across_engines_and_cache_modes() {
         let point = space.random_point(&mut rng);
         let mut engine_a = FabricEngine::for_catalog(SubsystemId::F);
         let mut engine_b = FabricEngine::for_catalog(SubsystemId::F);
-        let mut cached = collie::core::fabric::FabricEvaluator::new(&mut engine_a);
-        let mut uncached = collie::core::fabric::FabricEvaluator::uncached(&mut engine_b);
+        let mut cached = FabricEvaluator::new(&mut engine_a);
+        let mut uncached = FabricEvaluator::uncached(&mut engine_b);
         let a = cached.measure(&point);
         let a_repeat = cached.measure(&point);
         let b = uncached.measure(&point);

@@ -30,9 +30,14 @@
 //! re-recording unchanged code leaves `tests/fixtures/` byte-identical
 //! (CI checks exactly that).
 
-use collie_bench::{run_campaign_matrix, run_fabric_campaign_matrix, CampaignSpec, DEFAULT_SEEDS};
-use collie_core::fabric::FabricOutcome;
-use collie_core::search::{SearchConfig, SearchOutcome, SignalMode};
+use collie_bench::{
+    parallel_map, run_campaign_matrix, run_fabric_campaign_matrix, CampaignSpec, DEFAULT_SEEDS,
+};
+use collie_core::engine::WorkloadEngine;
+use collie_core::eval::Evaluator;
+use collie_core::fabric::{run_fabric_search_on, FabricEngine, FabricEvaluator, FabricOutcome};
+use collie_core::search::{run_search_on, SearchConfig, SearchOutcome, SignalMode};
+use collie_core::space::{FabricSpace, SearchSpace};
 use collie_rnic::subsystems::SubsystemId;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -254,6 +259,16 @@ fn run_two_host_grid(cells: &[CampaignSpec]) -> Vec<GoldenCell> {
         .collect()
 }
 
+/// Run a fabric grid and reduce it to golden cells.
+fn run_fabric_grid(cells: &[CampaignSpec]) -> Vec<GoldenCell> {
+    let outcomes = run_fabric_campaign_matrix(cells, 2);
+    cells
+        .iter()
+        .zip(&outcomes)
+        .map(|(cell, (outcome, _))| GoldenCell::from_fabric(outcome, cell.config.seed))
+        .collect()
+}
+
 #[test]
 fn golden_fig4_kernel_semantics_are_pinned() {
     let golden = run_two_host_grid(&fig4_cells());
@@ -271,14 +286,7 @@ fn golden_fig7_fabric_discovery_sequences_are_bit_identical_to_the_pre_kernel_co
     // The kernel adopted the fabric semantics wholesale, so this fixture,
     // first recorded from the pre-kernel fabric code, still replays
     // unchanged.
-    let cells = fig7_cells();
-    let outcomes = run_fabric_campaign_matrix(&cells, 2);
-    let golden: Vec<GoldenCell> = cells
-        .iter()
-        .zip(&outcomes)
-        .map(|(cell, (outcome, _))| GoldenCell::from_fabric(outcome, cell.config.seed))
-        .collect();
-    record_or_compare("golden_fig7.json", &golden);
+    record_or_compare("golden_fig7.json", &run_fabric_grid(&fig7_cells()));
 }
 
 #[test]
@@ -286,43 +294,34 @@ fn golden_fig7_bayesian_fabric_cells_are_pinned() {
     // The fabric BO column: the generic-BO driver's fabric streams.
     // Together with `golden_fig7.json` it covers the full 3-strategy ×
     // 3-seed fig7 grid.
-    let cells = fig7_bo_cells();
-    let outcomes = run_fabric_campaign_matrix(&cells, 2);
-    let golden: Vec<GoldenCell> = cells
-        .iter()
-        .zip(&outcomes)
-        .map(|(cell, (outcome, _))| GoldenCell::from_fabric(outcome, cell.config.seed))
-        .collect();
-    record_or_compare("golden_fig7_bo.json", &golden);
+    record_or_compare("golden_fig7_bo.json", &run_fabric_grid(&fig7_bo_cells()));
 }
 
-/// The same cells with memoization pinned explicitly (rather than
-/// inherited from `COLLIE_MEMOIZE`).
-fn with_execution(cells: &[CampaignSpec], memoize: bool) -> Vec<CampaignSpec> {
-    cells
-        .iter()
-        .cloned()
-        .map(|cell| CampaignSpec {
-            config: cell.config.with_memoization(memoize),
-            ..cell
-        })
-        .collect()
+/// Replay a two-host grid cell by cell through the uncached reference
+/// evaluator (two cells at a time) and reduce it to golden cells.
+fn run_two_host_grid_uncached(cells: &[CampaignSpec]) -> Vec<GoldenCell> {
+    parallel_map(cells, 2, |cell| {
+        let mut engine = WorkloadEngine::for_catalog(cell.subsystem);
+        let space = SearchSpace::for_host(&cell.subsystem.host());
+        let outcome = run_search_on(&mut Evaluator::uncached(&mut engine), &space, &cell.config);
+        GoldenCell::from_search(&outcome, cell.config.seed)
+    })
 }
 
-/// Render a two-host grid to its canonical golden JSON.
-fn render_two_host(cells: &[CampaignSpec]) -> String {
-    serde_json::to_string_pretty(&run_two_host_grid(cells)).expect("golden cells serialize")
+/// The fabric counterpart of [`run_two_host_grid_uncached`].
+fn run_fabric_grid_uncached(cells: &[CampaignSpec]) -> Vec<GoldenCell> {
+    parallel_map(cells, 2, |cell| {
+        let mut engine = FabricEngine::for_catalog(cell.subsystem);
+        let space = FabricSpace::for_host(&cell.subsystem.host());
+        let mut evaluator = FabricEvaluator::uncached(&mut engine);
+        let outcome = run_fabric_search_on(&mut evaluator, &space, &cell.config);
+        GoldenCell::from_fabric(&outcome, cell.config.seed)
+    })
 }
 
-/// Render a fabric grid to its canonical golden JSON.
-fn render_fabric(cells: &[CampaignSpec]) -> String {
-    let outcomes = run_fabric_campaign_matrix(cells, 2);
-    let golden: Vec<GoldenCell> = cells
-        .iter()
-        .zip(&outcomes)
-        .map(|(cell, (outcome, _))| GoldenCell::from_fabric(outcome, cell.config.seed))
-        .collect();
-    serde_json::to_string_pretty(&golden).expect("golden cells serialize")
+/// Render golden cells to their canonical golden JSON.
+fn render(golden: &[GoldenCell]) -> String {
+    serde_json::to_string_pretty(golden).expect("golden cells serialize")
 }
 
 /// Byte-compare two rendered grids, reporting the first differing line.
@@ -353,10 +352,9 @@ fn golden_grids_are_incremental_independent() {
     // removed, but the campaign benchmark still sets it and passes it to
     // `set_incremental`. A grid replayed with the knob on must reproduce
     // the knob-off oracle byte for byte, so the field stays a no-op until
-    // it is deleted. Both renders pin memoization on, so the comparison
-    // holds under the COLLIE_MEMOIZE=0 CI leg as well.
-    let knob_on = |cells: &[CampaignSpec]| -> Vec<CampaignSpec> {
-        with_execution(cells, true)
+    // it is deleted.
+    let knob_on = |cells: Vec<CampaignSpec>| -> Vec<CampaignSpec> {
+        cells
             .into_iter()
             .map(|cell| CampaignSpec {
                 config: SearchConfig {
@@ -367,58 +365,33 @@ fn golden_grids_are_incremental_independent() {
             })
             .collect()
     };
-    let cells = fig4_cells();
     assert_same_stream(
         "golden_fig4_kernel.json (incremental knob on)",
-        &render_two_host(&with_execution(&cells, true)),
-        &render_two_host(&knob_on(&cells)),
+        &render(&run_two_host_grid(&fig4_cells())),
+        &render(&run_two_host_grid(&knob_on(fig4_cells()))),
     );
-    let cells = fig7_bo_cells();
     assert_same_stream(
         "golden_fig7_bo.json (incremental knob on)",
-        &render_fabric(&with_execution(&cells, true)),
-        &render_fabric(&knob_on(&cells)),
+        &render(&run_fabric_grid(&fig7_bo_cells())),
+        &render(&run_fabric_grid(&knob_on(fig7_bo_cells()))),
     );
 }
 
 #[test]
 fn golden_grids_are_memoization_independent() {
-    // The memo cache only skips flow-model recompute; outcomes must be
-    // bit-identical with it on or off. One full-budget cell per stack is
-    // enough here — the full suites run under both modes in CI via
-    // COLLIE_MEMOIZE.
-    // Pinned explicitly (not via the constructor default) so the assertion
-    // on cache statistics holds under the COLLIE_MEMOIZE=0 CI leg too.
-    let on = CampaignSpec::seeded(
-        SubsystemId::F,
-        &SearchConfig::collie(0).with_memoization(true),
-        DEFAULT_SEEDS[0],
-    );
-    let off = CampaignSpec {
-        config: on.config.clone().with_memoization(false),
-        ..on.clone()
-    };
-    let outcomes = run_campaign_matrix(&[on.clone(), off], 2);
-    assert_eq!(
-        outcomes[0].0, outcomes[1].0,
-        "cache ablation moved a campaign"
-    );
-    assert!(outcomes[0].1.hits > 0 && outcomes[1].1.hits == 0);
-
-    // And whole grids, one grid per stack: the memo-off replay must
-    // reproduce the memo-on oracle byte for byte. The oracle pins
-    // memoization on explicitly so the comparison is meaningful under the
-    // COLLIE_MEMOIZE=0 CI leg as well.
+    // The memo cache only skips flow-model recompute, so a grid replayed
+    // through the uncached reference evaluator must reproduce the
+    // memoized render byte for byte. One grid per stack.
     let cells = fig4_cells();
     assert_same_stream(
-        "golden_fig4_kernel.json (memoize off)",
-        &render_two_host(&with_execution(&cells, true)),
-        &render_two_host(&with_execution(&cells, false)),
+        "golden_fig4_kernel.json (uncached)",
+        &render(&run_two_host_grid(&cells)),
+        &render(&run_two_host_grid_uncached(&cells)),
     );
     let cells = fig7_bo_cells();
     assert_same_stream(
-        "golden_fig7_bo.json (memoize off)",
-        &render_fabric(&with_execution(&cells, true)),
-        &render_fabric(&with_execution(&cells, false)),
+        "golden_fig7_bo.json (uncached)",
+        &render(&run_fabric_grid(&cells)),
+        &render(&run_fabric_grid_uncached(&cells)),
     );
 }

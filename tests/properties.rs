@@ -10,6 +10,10 @@
 //! * the simulator is deterministic: the same point measures identically,
 //!   and a warm engine walking a mutation chain measures every point
 //!   exactly as a fresh engine does;
+//! * the memo cache is sound: on a campaign-shaped stream of asks, the
+//!   memoizing evaluator answers exactly as the uncached reference does;
+//! * the fabric victim gauge is non-increasing in propagated pause, and a
+//!   wider incast never lowers the victim's pause;
 //! * swapping the two hosts mirrors a measurement exactly;
 //! * applying a mitigation twice, to the workload or to the subsystem,
 //!   is the same as applying it once;
@@ -19,10 +23,13 @@
 //!   breaking one of its numeric conditions stops the match;
 //! * the anomaly verdict is consistent with its own thresholds.
 
+use collie::core::engine::Engine;
+use collie::core::eval::Evaluator;
 use collie::prelude::*;
 use collie::rnic::subsystem::DirectionMetrics;
 use collie::sim::rng::SimRng;
 use proptest::prelude::*;
+use std::fmt::Debug;
 
 fn space_f() -> SearchSpace {
     SearchSpace::for_host(&SubsystemId::F.host())
@@ -303,6 +310,141 @@ proptest! {
                 measured_json == scratch_json,
                 "serialised fabric measurement diverged at step {step} (seed {seed})"
             );
+        }
+    }
+}
+
+/// Asks per sequence in the memo-soundness property.
+const ASKS: usize = 24;
+
+/// A seeded sequence of [`ASKS`] points shaped like a campaign's asks:
+/// fresh draws, one-knob mutations of an earlier ask, and exact repeats of
+/// one.
+fn ask_sequence<P: Clone>(
+    seed: u64,
+    draw: impl Fn(&mut SimRng) -> P,
+    mutate: impl Fn(&P, &mut SimRng) -> P,
+) -> Vec<P> {
+    let mut rng = SimRng::new(seed);
+    let mut asks = vec![draw(&mut rng)];
+    while asks.len() < ASKS {
+        let earlier = asks[rng.gen_index(asks.len())].clone();
+        let next = match rng.gen_index(3) {
+            0 => draw(&mut rng),
+            1 => mutate(&earlier, &mut rng),
+            _ => earlier,
+        };
+        asks.push(next);
+    }
+    asks
+}
+
+/// Ask a memoizing evaluator and the uncached reference, each over its own
+/// fresh engine, every point of `asks` in order. Both must give the same
+/// measurement and verdict on every ask, and the reference must pay one
+/// compute for every answer the memoized evaluator gave, hit or miss.
+fn memo_agrees_with_reference<E: Engine>(
+    fresh: impl Fn() -> E,
+    asks: &[E::Point],
+    label: &str,
+) -> Result<(), TestCaseError>
+where
+    E::Measurement: PartialEq + Debug,
+    E::Verdict: PartialEq + Debug,
+{
+    let monitor = AnomalyMonitor::new();
+    let (mut memo_engine, mut reference_engine) = (fresh(), fresh());
+    let mut memoized = Evaluator::new(&mut memo_engine);
+    let mut reference = Evaluator::uncached(&mut reference_engine);
+    for (ask, point) in asks.iter().enumerate() {
+        let memo = memoized.measure_and_assess(&monitor, point);
+        let truth = reference.measure_and_assess(&monitor, point);
+        prop_assert!(
+            memo == truth,
+            "{label} ask {ask}: memoized {memo:?}, reference {truth:?}"
+        );
+    }
+    let (memo, truth) = (memoized.stats(), reference.stats());
+    prop_assert!(
+        truth.hits == 0 && truth.misses == memo.hits + memo.misses,
+        "{label}: reference {truth:?} against memoized {memo:?}"
+    );
+    Ok(())
+}
+
+proptest! {
+    // Every case replays one ask sequence per subsystem plus one fabric
+    // sequence, and the reference recomputes every sample of every ask.
+    #![proptest_config(ProptestConfig { cases: 16 })]
+
+    /// The memo cache is sound: it may skip a flow-model compute only
+    /// where the compute would have returned what the cache holds.
+    #[test]
+    fn memoized_evaluator_answers_every_ask_like_the_uncached_reference(seed in any::<u64>()) {
+        for id in SubsystemId::ALL {
+            let space = SearchSpace::for_host(&id.host());
+            let asks = ask_sequence(
+                seed,
+                |rng| space.random_point(rng),
+                |point, rng| space.mutate(point, rng),
+            );
+            memo_agrees_with_reference(|| WorkloadEngine::for_catalog(id), &asks, &id.to_string())?;
+        }
+        let space = FabricSpace::for_host(&SubsystemId::F.host());
+        let asks = ask_sequence(
+            seed,
+            |rng| space.random_point(rng),
+            |point, rng| space.mutate(point, rng),
+        );
+        memo_agrees_with_reference(|| FabricEngine::for_catalog(SubsystemId::F), &asks, "fabric F")?;
+    }
+}
+
+/// Sampled fabric points per case in the victim-gauge property.
+const VICTIM_POINTS: usize = 50;
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 30 })]
+
+    /// DESIGN §1's fabric victim gauge is non-increasing in propagated
+    /// pause. Across sampled points, no victim-bearing measurement shows
+    /// both a higher victim pause and a higher victim throughput than
+    /// another. And for a fixed culprit workload, pattern and host count,
+    /// raising the incast degree never lowers the victim's pause.
+    #[test]
+    fn fabric_victim_gauge_is_non_increasing_in_propagated_pause(seed in any::<u64>()) {
+        let space = FabricSpace::for_host(&SubsystemId::F.host());
+        let mut engine = FabricEngine::for_catalog(SubsystemId::F);
+        let mut rng = SimRng::new(seed);
+        let mut victims: Vec<(f64, f64)> = Vec::new();
+        for _ in 0..VICTIM_POINTS {
+            let point = space.random_point(&mut rng);
+            let measurement = engine.measure(&point);
+            if measurement.shape.has_victim() {
+                victims.push((measurement.victim_pause_ratio, measurement.victim_throughput_frac));
+            }
+            let mut previous: Option<(u32, f64)> = None;
+            for &incast_degree in &space.incast_degrees {
+                let wider = FabricPoint { incast_degree, ..point.clone() };
+                let pause = engine.measure(&wider).victim_pause_ratio;
+                if let Some((lower, lower_pause)) = previous {
+                    prop_assert!(
+                        pause >= lower_pause,
+                        "{point}: incast {incast_degree} pause {pause} < incast {lower} pause {lower_pause}"
+                    );
+                }
+                previous = Some((incast_degree, pause));
+            }
+        }
+        // A sample with no paused victim would make the first check vacuous.
+        prop_assert!(victims.iter().any(|&(pause, _)| pause > 0.0), "no paused victim sampled");
+        for &(pause, throughput) in &victims {
+            for &(other_pause, other_throughput) in &victims {
+                prop_assert!(
+                    !(pause > other_pause && throughput > other_throughput),
+                    "victim pause {pause} > {other_pause} with throughput {throughput} > {other_throughput}"
+                );
+            }
         }
     }
 }
