@@ -259,7 +259,9 @@ impl SearchDomain for FabricDomain<'_, '_> {
     /// coordinates. The small host/incast ladders are log-scaled like the
     /// workload ladders; the traffic shape becomes its ladder index.
     fn surrogate_features(&self, point: &FabricPoint) -> Vec<f64> {
-        let mut features = crate::search::WorkloadDomain::workload_surrogate(&point.workload);
+        let workload = crate::search::WorkloadDomain::workload_surrogate(&point.workload);
+        let mut features = Vec::with_capacity(workload.len() + 3);
+        features.extend_from_slice(&workload);
         features.push((point.host_count as f64).log2());
         features.push((point.incast_degree as f64).log2());
         features.push(match point.pattern {

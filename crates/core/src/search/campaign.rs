@@ -208,7 +208,7 @@ impl<'a, 'e> WorkloadDomain<'a, 'e> {
     /// longer than the 15-feature projection.) An associated function so
     /// the fabric domain can embed the culprit workload's encoding inside
     /// its own surrogate vector without binding a two-host domain.
-    pub(crate) fn workload_surrogate(point: &SearchPoint) -> Vec<f64> {
+    pub(crate) fn workload_surrogate(point: &SearchPoint) -> [f64; 16] {
         let transport = match point.transport {
             Transport::Rc => 0.0,
             Transport::Uc => 1.0,
@@ -229,7 +229,7 @@ impl<'a, 'e> WorkloadDomain<'a, 'e> {
             collie_host::memory::MemoryTarget::HostDram { numa_node } => *numa_node as f64,
             collie_host::memory::MemoryTarget::GpuMemory { gpu_id } => 4.0 + *gpu_id as f64,
         };
-        vec![
+        [
             transport,
             opcode,
             (point.num_qps as f64).log2(),
@@ -350,7 +350,7 @@ impl SearchDomain for WorkloadDomain<'_, '_> {
     /// See `WorkloadDomain::workload_surrogate` (the fabric domain embeds
     /// the same encoding, so the body lives in the associated function).
     fn surrogate_features(&self, point: &SearchPoint) -> Vec<f64> {
-        WorkloadDomain::workload_surrogate(point)
+        WorkloadDomain::workload_surrogate(point).to_vec()
     }
 
     fn mfs_identity(mfs: &Mfs) -> Symptom {

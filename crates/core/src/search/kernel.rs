@@ -600,8 +600,9 @@ fn optimise_one_counter<D: SearchDomain>(
             candidates.push(candidate);
         }
 
-        // Acquisition: surrogate prediction + exploration bonus.
-        let mut best_candidate: Option<(f64, D::Point)> = None;
+        // Acquisition: surrogate prediction + exploration bonus. The
+        // winner keeps its encoding for the history (encoding is pure).
+        let mut best_candidate: Option<(f64, D::Point, Vec<f64>)> = None;
         for candidate in candidates {
             if campaign.matches_known_mfs(&candidate) {
                 continue;
@@ -612,13 +613,13 @@ fn optimise_one_counter<D: SearchDomain>(
             let score = oriented + EXPLORATION_WEIGHT * distance * oriented.abs().max(1.0);
             if best_candidate
                 .as_ref()
-                .map(|(s, _)| score > *s)
+                .map(|(s, _, _)| score > *s)
                 .unwrap_or(true)
             {
-                best_candidate = Some((score, candidate));
+                best_candidate = Some((score, candidate, features));
             }
         }
-        let Some((_, chosen)) = best_candidate else {
+        let Some((_, chosen, features)) = best_candidate else {
             continue;
         };
         let discoveries_before = campaign.discovery_count();
@@ -627,7 +628,7 @@ fn optimise_one_counter<D: SearchDomain>(
         };
         measured += 1;
         let value = campaign.signal_value(&m, target);
-        history.push((campaign.surrogate_features(&chosen), chosen, value));
+        history.push((features, chosen, value));
         if campaign.discovery_count() > discoveries_before {
             // Like the annealing search, restart exploration after a find so
             // the surrogate does not keep proposing the same region.
@@ -657,7 +658,43 @@ fn best_of<P>(history: &[(Vec<f64>, P, f64)], maximize: bool) -> Option<&P> {
 /// poison the acquisition score's `oriented.abs().max(1.0)` scaling in
 /// minimise mode — the exploration term would be amplified by an
 /// astronomic magnitude that no real observation produces.)
+///
+/// The neighbours are selected into a fixed array, nearest first, with no
+/// allocation. An entry displaces a kept neighbour only when it is
+/// strictly nearer, so among equal distances the earlier history entry
+/// stays ahead: the selection, and hence the summation order, is exactly
+/// the prefix [`predict_by_sort`]'s stable sort yields. A NaN distance
+/// has no such prefix (the sort's comparator calls it equal to
+/// everything), so that case defers to the sort itself.
 fn predict<P>(history: &[(Vec<f64>, P, f64)], features: &[f64]) -> (f64, f64) {
+    if history.is_empty() {
+        return (0.0, 1.0);
+    }
+    let mut nearest = [(0.0, 0.0); NEIGHBOURS];
+    let mut kept = 0;
+    for (f, _, v) in history {
+        let d = euclidean(f, features);
+        if d.is_nan() {
+            return predict_by_sort(history, features);
+        }
+        if kept == NEIGHBOURS && d >= nearest[NEIGHBOURS - 1].0 {
+            continue;
+        }
+        let mut slot = kept.min(NEIGHBOURS - 1);
+        kept = (kept + 1).min(NEIGHBOURS);
+        while slot > 0 && d < nearest[slot - 1].0 {
+            nearest[slot] = nearest[slot - 1];
+            slot -= 1;
+        }
+        nearest[slot] = (d, *v);
+    }
+    weigh_neighbours(&nearest[..kept])
+}
+
+/// [`predict`] by a stable full sort of the history's distances: the
+/// NaN-distance fallback and the test oracle of the top-`NEIGHBOURS`
+/// selection.
+fn predict_by_sort<P>(history: &[(Vec<f64>, P, f64)], features: &[f64]) -> (f64, f64) {
     if history.is_empty() {
         return (0.0, 1.0);
     }
@@ -666,7 +703,12 @@ fn predict<P>(history: &[(Vec<f64>, P, f64)], features: &[f64]) -> (f64, f64) {
         .map(|(f, _, v)| (euclidean(f, features), *v))
         .collect();
     distances.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let nearest = &distances[..distances.len().min(NEIGHBOURS)];
+    weigh_neighbours(&distances[..distances.len().min(NEIGHBOURS)])
+}
+
+/// Inverse-distance-weighted mean of `(distance, value)` neighbours given
+/// nearest first (non-empty), and the nearest distance.
+fn weigh_neighbours(nearest: &[(f64, f64)]) -> (f64, f64) {
     let mut weight_sum = 0.0;
     let mut value_sum = 0.0;
     for (d, v) in nearest {
@@ -674,7 +716,7 @@ fn predict<P>(history: &[(Vec<f64>, P, f64)], features: &[f64]) -> (f64, f64) {
         weight_sum += w;
         value_sum += w * v;
     }
-    (value_sum / weight_sum, distances[0].0)
+    (value_sum / weight_sum, nearest[0].0)
 }
 
 fn euclidean(a: &[f64], b: &[f64]) -> f64 {
@@ -1039,7 +1081,7 @@ mod tests {
         let a = SearchPoint::benign();
         let mut b = SearchPoint::benign();
         b.num_qps = 2048;
-        let enc = WorkloadDomain::workload_surrogate;
+        let enc = |p: &SearchPoint| WorkloadDomain::workload_surrogate(p).to_vec();
         let history = vec![(enc(&a), a.clone(), 10.0), (enc(&b), b.clone(), 30.0)];
         let (near_a, _) = predict(&history, &enc(&a));
         assert!((near_a - 10.0).abs() < 5.0);
@@ -1052,6 +1094,54 @@ mod tests {
         let empty: Vec<(Vec<f64>, SearchPoint, f64)> = Vec::new();
         assert_eq!(predict(&empty, &enc(&a)), (0.0, 1.0));
         assert!(best_of(&empty, true).is_none());
+    }
+
+    fn predictions_bits(prediction: (f64, f64)) -> (u64, u64) {
+        (prediction.0.to_bits(), prediction.1.to_bits())
+    }
+
+    #[test]
+    fn top_k_predict_matches_the_stable_sort_bit_for_bit() {
+        // Coordinates come from a 3-value set, so equal distances are
+        // common and the tie order (earlier history entry first) decides
+        // which neighbours are summed, and in what order.
+        const COORDS: [f64; 3] = [0.0, 1.0, 2.5];
+        let mut rng = SimRng::new(20260730);
+        for case in 0..2000 {
+            let dims = 1 + rng.gen_index(4);
+            let draw = |rng: &mut SimRng| -> Vec<f64> {
+                (0..dims).map(|_| *rng.choose(&COORDS)).collect()
+            };
+            let len = 1 + rng.gen_index(200);
+            let history: Vec<(Vec<f64>, (), f64)> = (0..len)
+                .map(|_| (draw(&mut rng), (), rng.gen_f64() * 100.0 - 50.0))
+                .collect();
+            let features = draw(&mut rng);
+            assert_eq!(
+                predictions_bits(predict(&history, &features)),
+                predictions_bits(predict_by_sort(&history, &features)),
+                "case {case}: {len} entries of {dims} dims"
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_distance_defers_to_the_stable_sort() {
+        // A NaN coordinate makes that entry's distance NaN, which the
+        // sort's comparator calls equal to everything; `predict` must
+        // return whatever the sort returns, NaN included.
+        let history = vec![
+            (vec![4.0, 0.0], (), 1.0),
+            (vec![f64::NAN, 0.0], (), 2.0),
+            (vec![1.0, 0.0], (), 3.0),
+            (vec![2.0, 0.0], (), 4.0),
+            (vec![0.0, 0.0], (), 5.0),
+        ];
+        assert!(euclidean(&history[1].0, &[0.5, 0.0]).is_nan());
+        assert_eq!(
+            predictions_bits(predict(&history, &[0.5, 0.0])),
+            predictions_bits(predict_by_sort(&history, &[0.5, 0.0]))
+        );
     }
 
     #[test]
