@@ -256,39 +256,29 @@ pub fn evaluate_fabric(
     let pause_spread = storming as f64 / ports as f64;
     let max_port_pause = port_pause.iter().copied().fold(0.0, f64::max);
 
-    let counters = CounterSnapshot::from_triples(
-        culprit
-            .counters
-            .iter()
-            .map(|(name, kind, value)| (name.to_string(), kind, value))
-            .chain([
-                (
-                    fabric::VICTIM_THROUGHPUT_FRAC.to_string(),
-                    CounterKind::Performance,
-                    victim_throughput_frac,
-                ),
-                (
-                    fabric::CULPRIT_THROUGHPUT_FRAC.to_string(),
-                    CounterKind::Performance,
-                    culprit_throughput_frac,
-                ),
-                (
-                    fabric::VICTIM_PAUSE_RATIO.to_string(),
-                    CounterKind::Diagnostic,
-                    victim_pause_ratio,
-                ),
-                (
-                    fabric::PAUSE_SPREAD.to_string(),
-                    CounterKind::Diagnostic,
-                    pause_spread,
-                ),
-                (
-                    fabric::MAX_PORT_PAUSE.to_string(),
-                    CounterKind::Diagnostic,
-                    max_port_pause,
-                ),
-            ]),
-    );
+    let counters = culprit.counters.merged([
+        (
+            fabric::VICTIM_THROUGHPUT_FRAC,
+            CounterKind::Performance,
+            victim_throughput_frac,
+        ),
+        (
+            fabric::CULPRIT_THROUGHPUT_FRAC,
+            CounterKind::Performance,
+            culprit_throughput_frac,
+        ),
+        (
+            fabric::VICTIM_PAUSE_RATIO,
+            CounterKind::Diagnostic,
+            victim_pause_ratio,
+        ),
+        (fabric::PAUSE_SPREAD, CounterKind::Diagnostic, pause_spread),
+        (
+            fabric::MAX_PORT_PAUSE,
+            CounterKind::Diagnostic,
+            max_port_pause,
+        ),
+    ]);
 
     FabricMeasurement {
         shape,

@@ -341,7 +341,7 @@ impl CounterSnapshot {
     }
 
     /// Build a snapshot directly from `(name, kind, value)` triples
-    /// (used by tests and by averaged multi-sample measurements). Names are
+    /// (used by [`CounterSnapshot::average`] and by tests). Names are
     /// deduplicated and sorted exactly as a map insert sequence would be:
     /// the last entry for a repeated name wins.
     pub fn from_triples<I: IntoIterator<Item = (String, CounterKind, f64)>>(iter: I) -> Self {
@@ -353,6 +353,32 @@ impl CounterSnapshot {
                 .map(|(n, (k, v))| (Arc::from(n.as_str()), k, v))
                 .collect(),
         }
+    }
+
+    /// This snapshot with `extra` entries merged in: the same snapshot
+    /// [`CounterSnapshot::from_triples`] builds from this snapshot's
+    /// triples followed by `extra`. The result is sorted by name, and an
+    /// entry whose name is already present replaces that entry's kind and
+    /// value. The names already here keep their shared `Arc<str>`; only a
+    /// new name allocates. This is how the fabric relay extends the
+    /// culprit's snapshot with its gauges on every fabric measurement.
+    pub fn merged<'n, I: IntoIterator<Item = (&'n str, CounterKind, f64)>>(
+        &self,
+        extra: I,
+    ) -> Self {
+        let extra = extra.into_iter();
+        let mut values = Vec::with_capacity(self.values.len() + extra.size_hint().0);
+        values.extend(self.values.iter().cloned());
+        for (name, kind, value) in extra {
+            match values.binary_search_by(|(n, _, _)| (**n).cmp(name)) {
+                Ok(i) => {
+                    values[i].1 = kind;
+                    values[i].2 = value;
+                }
+                Err(i) => values.insert(i, (Arc::from(name), kind, value)),
+            }
+        }
+        CounterSnapshot { values }
     }
 
     /// Pointwise average of several snapshots sharing the same counter set.
@@ -476,6 +502,42 @@ mod tests {
         w.add(&acc, 3.5);
         drop(w);
         assert_eq!(acc.value(), 3.5);
+    }
+
+    #[test]
+    fn merged_equals_from_triples_over_the_concatenation() {
+        // A small alphabet makes the extras collide with base names (and
+        // with each other) often; kinds are drawn independently, so a
+        // collision frequently flips the kind too.
+        const NAMES: [&str; 6] = ["a", "b/x", "b/y", "c", "f/z", "zz"];
+        const KINDS: [CounterKind; 2] = [CounterKind::Performance, CounterKind::Diagnostic];
+        let mut rng = crate::rng::SimRng::new(20260730);
+        let draw = |rng: &mut crate::rng::SimRng, n: usize| -> Vec<(String, CounterKind, f64)> {
+            (0..n)
+                .map(|_| {
+                    (
+                        rng.choose(&NAMES).to_string(),
+                        *rng.choose(&KINDS),
+                        rng.gen_f64() * 10.0,
+                    )
+                })
+                .collect()
+        };
+        for case in 0..2000 {
+            let base_triples = {
+                let n = rng.gen_index(NAMES.len() + 1);
+                draw(&mut rng, n)
+            };
+            let extra = {
+                let n = rng.gen_index(NAMES.len() + 1);
+                draw(&mut rng, n)
+            };
+            let base = CounterSnapshot::from_triples(base_triples.clone());
+            let merged = base.merged(extra.iter().map(|(n, k, v)| (n.as_str(), *k, *v)));
+            let expected = CounterSnapshot::from_triples(base_triples.into_iter().chain(extra));
+            assert_eq!(merged, expected, "case {case}");
+            assert_eq!(merged.to_value(), expected.to_value(), "case {case}");
+        }
     }
 
     #[test]
