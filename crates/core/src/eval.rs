@@ -25,6 +25,7 @@ use collie_rnic::fabric::FabricMeasurement;
 use collie_rnic::subsystem::{Measurement, Subsystem};
 use collie_rnic::subsystems::SubsystemId;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
@@ -398,10 +399,15 @@ impl<'e, E: Engine> Evaluator<'e, E> {
             self.stats.misses += 1;
             return timed_measure(self.engine, &mut self.compute_nanos, point);
         }
-        if let Some(measurement) = self.cache.get(point) {
-            self.stats.hits += 1;
-            return (**measurement).clone();
-        }
+        // One lookup: a miss hashes the point once, for the probe and the
+        // insert together.
+        let slot = match self.cache.entry(point.clone()) {
+            Entry::Occupied(cached) => {
+                self.stats.hits += 1;
+                return (**cached.get()).clone();
+            }
+            Entry::Vacant(slot) => slot,
+        };
         self.stats.misses += 1;
         let engine = &mut *self.engine;
         let nanos = &mut self.compute_nanos;
@@ -421,8 +427,7 @@ impl<'e, E: Engine> Evaluator<'e, E> {
             }
             None => Arc::new(timed_measure(engine, nanos, point)),
         };
-        self.cache.insert(point.clone(), Arc::clone(&measurement));
-        (*measurement).clone()
+        (**slot.insert(measurement)).clone()
     }
 
     /// The paper's §6 measurement procedure through the cache: sample the
