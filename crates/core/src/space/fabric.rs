@@ -269,6 +269,22 @@ mod tests {
     }
 
     #[test]
+    fn mutating_an_empty_message_pattern_never_panics() {
+        let s = space();
+        let mut appended = 0;
+        for seed in 0..200 {
+            let mut rng = SimRng::new(seed);
+            let mut p = s.random_point(&mut rng);
+            p.workload.messages.clear();
+            let q = s.mutate(&p, &mut rng);
+            if !q.workload.messages.is_empty() {
+                appended += 1;
+            }
+        }
+        assert!(appended > 0);
+    }
+
+    #[test]
     fn all_features_cover_workload_and_fabric() {
         let all = FabricFeature::all();
         assert_eq!(all.len(), Feature::ALL.len() + 3);

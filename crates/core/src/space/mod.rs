@@ -172,6 +172,12 @@ impl SearchSpace {
 
     fn mutate_pattern(&self, point: &mut SearchPoint, rng: &mut SimRng) {
         let sizes = &self.ladders.message_sizes;
+        // An empty pattern stands for one request (`MessagePattern::new`);
+        // the only mutation with nothing to resize or drop is to append.
+        if point.messages.is_empty() {
+            point.messages.push(*rng.choose(sizes));
+            return;
+        }
         match rng.gen_index(3) {
             // Resize one request.
             0 => {
@@ -336,6 +342,24 @@ mod tests {
         assert!(!s.transports.contains(&(Transport::Ud, Opcode::Write)));
         assert!(!s.transports.contains(&(Transport::Uc, Opcode::Read)));
         assert_eq!(s.transports.len(), 6);
+    }
+
+    #[test]
+    fn mutating_an_empty_message_pattern_never_panics() {
+        let s = space();
+        let mut appended = 0;
+        for seed in 0..200 {
+            let mut rng = SimRng::new(seed);
+            let mut p = s.random_point(&mut rng);
+            p.messages.clear();
+            let q = s.mutate(&p, &mut rng);
+            if !q.messages.is_empty() {
+                assert_eq!(q.messages.len(), 1, "seed {seed}: {q:?}");
+                appended += 1;
+            }
+        }
+        // The message-pattern mutation was drawn, not just survived.
+        assert!(appended > 0);
     }
 
     #[test]
