@@ -7,12 +7,15 @@
 use collie_core::catalog::KnownAnomaly;
 use collie_core::engine::WorkloadEngine;
 use collie_core::eval::Evaluator;
+use collie_core::fabric::{run_fabric_search, FabricEngine};
 use collie_core::monitor::AnomalyMonitor;
 use collie_core::search::kernel::MfsExtractor;
-use collie_core::search::{SignalMode, WorkloadDomain};
-use collie_core::space::{SearchPoint, SearchSpace};
+use collie_core::search::{SearchConfig, SignalMode, WorkloadDomain};
+use collie_core::space::{FabricPoint, FabricSpace, SearchPoint, SearchSpace};
+use collie_rnic::fabric::{TrafficPattern, PAUSE_SPREAD_THRESHOLD};
 use collie_rnic::subsystems::SubsystemId;
 use collie_sim::rng::SimRng;
+use collie_sim::time::SimDuration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_evaluate(c: &mut Criterion) {
@@ -24,6 +27,35 @@ fn bench_evaluate(c: &mut Criterion) {
     });
     c.bench_function("evaluate/anomalous_point", |b| {
         b.iter(|| black_box(engine.measure(black_box(&anomalous))))
+    });
+}
+
+/// The fabric path: one `FabricEngine::measure` (the two-host flow model
+/// plus the switch relay) on a storming point, and one Bayesian-optimisation
+/// fabric campaign, whose rounds score every candidate against the
+/// surrogate history.
+fn bench_fabric(c: &mut Criterion) {
+    let mut engine = FabricEngine::for_catalog(SubsystemId::F);
+    // Appendix A anomaly #4 as the culprit of a 4-host, incast-2 fabric.
+    let storming = FabricPoint {
+        workload: KnownAnomaly::by_id(4).unwrap().trigger,
+        host_count: 4,
+        incast_degree: 2,
+        pattern: TrafficPattern::Incast,
+    };
+    let pause = engine.measure(&storming).max_port_pause;
+    assert!(
+        pause > PAUSE_SPREAD_THRESHOLD,
+        "the fabric_point leg must measure a storming point (max port pause {pause})"
+    );
+    c.bench_function("evaluate/fabric_point", |b| {
+        b.iter(|| black_box(engine.measure(black_box(&storming))))
+    });
+
+    let space = FabricSpace::for_host(&SubsystemId::F.host());
+    let config = SearchConfig::bayesian(17).with_budget(SimDuration::from_secs(2 * 3600));
+    c.bench_function("campaign/fabric_bo", |b| {
+        b.iter(|| black_box(run_fabric_search(&mut engine, &space, &config)))
     });
 }
 
@@ -83,6 +115,7 @@ fn bench_mfs_extraction(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_evaluate,
+    bench_fabric,
     bench_space_operations,
     bench_mutation_chain,
     bench_mfs_extraction
