@@ -1127,17 +1127,18 @@ mod tests {
 
     #[test]
     fn a_nan_distance_defers_to_the_stable_sort() {
-        // A NaN coordinate makes that entry's distance NaN, which the
-        // sort's comparator calls equal to everything; `predict` must
-        // return whatever the sort returns, NaN included.
+        // A NaN coordinate makes the last entry's distance NaN, which the
+        // sort's comparator calls equal to everything, so the sort leaves
+        // it behind the three finite entries. A selection that did not
+        // defer would see `d >= kth` fail on the NaN and keep it as the
+        // third neighbour; `predict` must return what the sort returns.
         let history = vec![
-            (vec![4.0, 0.0], (), 1.0),
-            (vec![f64::NAN, 0.0], (), 2.0),
-            (vec![1.0, 0.0], (), 3.0),
-            (vec![2.0, 0.0], (), 4.0),
-            (vec![0.0, 0.0], (), 5.0),
+            (vec![1.0, 0.0], (), 1.0),
+            (vec![2.0, 0.0], (), 2.0),
+            (vec![3.0, 0.0], (), 3.0),
+            (vec![f64::NAN, 0.0], (), 4.0),
         ];
-        assert!(euclidean(&history[1].0, &[0.5, 0.0]).is_nan());
+        assert!(euclidean(&history[3].0, &[0.5, 0.0]).is_nan());
         assert_eq!(
             predictions_bits(predict(&history, &[0.5, 0.0])),
             predictions_bits(predict_by_sort(&history, &[0.5, 0.0]))
