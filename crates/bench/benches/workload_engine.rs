@@ -28,6 +28,14 @@ fn bench_evaluate(c: &mut Criterion) {
     c.bench_function("evaluate/anomalous_point", |b| {
         b.iter(|| black_box(engine.measure(black_box(&anomalous))))
     });
+    // A memo hit: the evaluator answers from its map, so the leg costs the
+    // key clone, the lookup and cloning the cached measurement out.
+    let mut evaluator = Evaluator::new(&mut engine);
+    evaluator.measure(&anomalous);
+    c.bench_function("evaluate/memo_hit", |b| {
+        b.iter(|| black_box(evaluator.measure(black_box(&anomalous))))
+    });
+    assert_eq!(evaluator.stats().misses, 1, "memo_hit must never miss");
 }
 
 /// The fabric path: one `FabricEngine::measure` (the two-host flow model
