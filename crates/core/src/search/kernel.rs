@@ -141,18 +141,28 @@ impl<'c, D: SearchDomain> CampaignLoop<'c, D> {
     /// compound-overload workload where every single-feature change still
     /// reproduces the symptom) would match the entire space and starve the
     /// search, so empty MFSes never participate in the skip.
+    ///
+    /// The MFS that matched moves to the front of the set: a proposal
+    /// stream keeps landing in the same few regions, so the next lookup
+    /// usually stops at the first entry. The answer and the `skipped`
+    /// count do not depend on the scan order, and the set never leaves
+    /// the kernel, so the reordering is unobservable.
     pub fn matches_known_mfs(&mut self, point: &D::Point) -> bool {
         if !self.config.use_mfs {
             return false;
         }
-        let matched = self
+        let hit = self
             .mfs_set
             .iter()
-            .any(|m| !D::mfs_is_empty(m) && D::mfs_matches(m, point));
-        if matched {
-            self.skipped += 1;
+            .position(|m| !D::mfs_is_empty(m) && D::mfs_matches(m, point));
+        match hit {
+            Some(index) => {
+                self.mfs_set[..=index].rotate_right(1);
+                self.skipped += 1;
+                true
+            }
+            None => false,
         }
-        matched
     }
 
     /// Run one experiment: charge its hardware cost, record the trace, and
@@ -999,6 +1009,66 @@ mod tests {
                 "restart landed inside a known MFS: {point}"
             );
         }
+    }
+
+    #[test]
+    fn hits_first_mfs_skip_decides_like_the_frozen_order() {
+        // Planted regions that overlap, one that never matches a drawn
+        // point, and an empty MFS that must never take part.
+        let region = |feature, condition| {
+            let mut conditions = BTreeMap::new();
+            conditions.insert(feature, condition);
+            Mfs {
+                symptom: Symptom::PauseStorm,
+                conditions,
+                example: SearchPoint::benign(),
+            }
+        };
+        let planted = vec![
+            region(Feature::NumQps, FeatureCondition::AtLeast(u64::MAX)),
+            region(Feature::WqeBatch, FeatureCondition::AtLeast(32)),
+            Mfs {
+                symptom: Symptom::PauseStorm,
+                conditions: BTreeMap::new(),
+                example: SearchPoint::benign(),
+            },
+            region(Feature::NumQps, FeatureCondition::AtLeast(256)),
+            region(Feature::MrsPerQp, FeatureCondition::AtLeast(64)),
+            region(Feature::WqeBatch, FeatureCondition::AtLeast(4)),
+        ];
+        let (mut engine, space, monitor) = setup();
+        let config = SearchConfig::collie(3);
+        let mut evaluator = Evaluator::new(&mut engine);
+        let domain = WorkloadDomain::new(&mut evaluator, &monitor, &space, config.signal);
+        let mut campaign = CampaignLoop::new(domain, &config);
+        for mfs in &planted {
+            campaign.plant_mfs(mfs.clone());
+        }
+        let mut rng = SimRng::new(20260730);
+        let mut point = space.random_point(&mut rng);
+        let (mut expected_skips, mut later_first_hits) = (0u32, 0u32);
+        for step in 0..4000 {
+            point = if step % 4 == 0 {
+                space.random_point(&mut rng)
+            } else {
+                space.mutate(&point, &mut rng)
+            };
+            let first_hit = planted
+                .iter()
+                .position(|m| !m.is_empty() && m.matches(&point));
+            expected_skips += u32::from(first_hit.is_some());
+            later_first_hits += u32::from(first_hit.is_some_and(|i| i > 1));
+            assert_eq!(
+                campaign.matches_known_mfs(&point),
+                first_hit.is_some(),
+                "step {step}: {point}"
+            );
+        }
+        // Non-vacuous: hits land past the front of the frozen order, so
+        // the set really was reordered along the way.
+        assert!(later_first_hits > 100, "{later_first_hits} later hits");
+        assert!(expected_skips < 3900, "{expected_skips} skips");
+        assert_eq!(campaign.finish().skipped_by_mfs, expected_skips);
     }
 
     #[test]
