@@ -129,7 +129,7 @@ pub struct MatrixOptions {
     pub workers: usize,
     /// Append a qualification phase to the matrix report: every discovery
     /// is handed to a [`Qualifier`] that verifies its mitigations one at a
-    /// time on fresh engine forks. Off by default — the phase runs strictly
+    /// time on fresh engine clones. Off by default — the phase runs strictly
     /// after the campaign cells and never touches their engines, so cell
     /// outcomes (and the golden-trace fixtures) are byte-identical either
     /// way.

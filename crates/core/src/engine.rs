@@ -66,7 +66,12 @@ pub trait Engine {
 }
 
 /// Sets up and runs experiments on one subsystem.
-#[derive(Debug)]
+///
+/// A clone is an independent engine over the same subsystem configuration:
+/// the subsystem is a plain value that owns its counters, and
+/// [`WorkloadEngine::measure`]'s determinism contract guarantees the clone
+/// measures identically to its original.
+#[derive(Debug, Clone)]
 pub struct WorkloadEngine {
     subsystem: Subsystem,
 }
@@ -80,25 +85,6 @@ impl WorkloadEngine {
     /// An engine driving one of the Table-1 subsystems.
     pub fn for_catalog(id: SubsystemId) -> Self {
         WorkloadEngine::new(id.build())
-    }
-
-    /// An independent engine over the same subsystem configuration.
-    ///
-    /// The qualifier ([`crate::remedy`]) re-measures on a fresh fork per
-    /// mitigation step. `Subsystem` is `Clone`, but a clone would share the
-    /// counter registry handle with the original, so measuring on it would
-    /// overwrite the original's counters. The fork instead reassembles the
-    /// subsystem from its configuration, giving it its own registry,
-    /// counters and switch — [`WorkloadEngine::measure`]'s determinism
-    /// contract guarantees the fork measures identically to its parent.
-    pub fn fork(&self) -> Self {
-        let s = &self.subsystem;
-        WorkloadEngine::new(Subsystem::new(
-            s.name.clone(),
-            s.rnic.clone(),
-            s.host_a.clone(),
-            s.host_b.clone(),
-        ))
     }
 
     /// Does nothing. It toggled the incremental delta caches, which were
@@ -424,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn forked_engines_measure_identically_and_independently() {
+    fn measuring_on_a_clone_leaves_the_original_unchanged() {
         let mut e = engine();
         let mut p = SearchPoint::benign();
         p.transport = Transport::Ud;
@@ -433,15 +419,17 @@ mod tests {
         p.recv_queue_depth = 256;
         p.messages = vec![2048];
         p.mtu = 2048;
-        let mut fork = e.fork();
-        // Dirty the fork's state with a different point, then confirm both
-        // engines still agree: measurements are pure functions of the point.
-        let _ = fork.measure(&SearchPoint::benign());
-        assert_eq!(e.measure(&p), fork.measure(&p));
-        assert_eq!(
-            e.measure(&SearchPoint::benign()),
-            fork.measure(&SearchPoint::benign())
-        );
+        let expected = engine().measure(&p);
+        let _ = e.measure(&SearchPoint::benign());
+        let mut clone = e.clone();
+        // Measuring another point on the clone publishes into the clone's
+        // counters only: the original's next measurement is unchanged.
+        let on_clone = clone.measure(&p);
+        assert_ne!(on_clone, e.measure(&SearchPoint::benign()));
+        assert_eq!(e.measure(&p), expected);
+        assert_eq!(clone.measure(&p), expected);
+        let _ = clone.measure(&SearchPoint::benign());
+        assert_eq!(e.measure(&p), expected);
     }
 
     #[test]

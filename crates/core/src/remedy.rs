@@ -16,7 +16,7 @@
 //!   **cumulatively, one at a time, in plan order** — not all at once the
 //!   way [`RemediationPlan::apply_subsystem_side`] does. After each
 //!   mitigation the trigger is re-measured through the standard memoized
-//!   [`Evaluator`] on a fresh engine fork, and a per-mitigation [`Verdict`]
+//!   [`Evaluator`] on a fresh engine clone, and a per-mitigation [`Verdict`]
 //!   records whether the symptom cleared, what residual symptom remains,
 //!   and how the counters moved. One mitigation at a time matters: #12's
 //!   trigger also falls into #9's bottleneck, so the ACS fix alone leaves a
@@ -31,10 +31,10 @@
 //!   replays every cleared record so a trigger that goes anomalous again is
 //!   flagged as a [`RegressionFlag`].
 //!
-//! Every measurement happens on a fork of the engine: a subsystem-level
+//! Every measurement happens on a clone of the engine: a subsystem-level
 //! mitigation rewrites the configuration it is applied to, and an
 //! [`Evaluator`]'s memo keys on the point alone, so each step applies its
-//! cumulative mitigations to a fresh fork, measures through a fresh
+//! cumulative mitigations to a fresh clone, measures through a fresh
 //! evaluator, and leaves the caller's engine unmitigated.
 
 use crate::advisor::Advisor;
@@ -272,7 +272,7 @@ impl Qualifier {
 
     /// Qualify one trigger: measure the unmitigated baseline, then apply
     /// the mitigation sequence cumulatively — one mitigation per step, each
-    /// step re-measured through a memoized [`Evaluator`] on a fresh fork of
+    /// step re-measured through a memoized [`Evaluator`] on a fresh clone of
     /// `engine` — stopping at the first step that clears the anomaly.
     ///
     /// Returns `None` if the trigger is not anomalous on `engine` to begin
@@ -286,7 +286,7 @@ impl Qualifier {
         matched_rules: &[String],
     ) -> Option<QualificationRecord> {
         let monitor = AnomalyMonitor::new();
-        let mut baseline_engine = engine.fork();
+        let mut baseline_engine = engine.clone();
         let (baseline, verdict) =
             Evaluator::new(&mut baseline_engine).measure_and_assess(&monitor, trigger);
         let symptom = verdict.symptom?;
@@ -302,10 +302,10 @@ impl Qualifier {
         for mitigation in sequence {
             applied.push(mitigation);
             mitigation.apply_to_workload(&mut workload);
-            // Fresh fork per step: the caller's engine stays unmitigated,
+            // Fresh clone per step: the caller's engine stays unmitigated,
             // and the step's memo never holds a measurement taken under a
             // different configuration.
-            let mut stepped = engine.fork();
+            let mut stepped = engine.clone();
             for m in &applied {
                 m.apply_to_subsystem(stepped.subsystem_mut());
             }

@@ -341,9 +341,10 @@ impl SearchDomain for WorkloadDomain<'_, '_> {
         };
         self.evaluator
             .subsystem()
-            .registry()
+            .counter_schema()
             .names(kind)
             .into_iter()
+            .map(str::to_string)
             .collect()
     }
 

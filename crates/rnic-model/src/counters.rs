@@ -3,12 +3,22 @@
 //! The paper's vendors provide two families of counters: performance
 //! counters that every RNIC exports and nine diagnostic counters tied to
 //! internal events. We expose the same shape: four performance counters and
-//! nine diagnostic counters, registered into a [`CounterRegistry`] so the
+//! nine diagnostic counters, declared once as a [`CounterSchema`] so the
 //! search layer can treat them as opaque names (it never interprets them —
 //! it only minimises the performance ones and maximises the diagnostic
 //! ones).
 
-use collie_sim::counters::{CounterHandle, CounterKind, CounterRegistry, CounterWriter};
+use collie_sim::counters::{CounterKind, CounterSchema, CounterSnapshot};
+use std::sync::Arc;
+
+/// Position of `name` in `all`. Names that come from the constants below
+/// compare by pointer before falling back to a byte compare.
+fn position(all: &[&str], name: &str) -> Option<usize> {
+    all.iter().position(|candidate| {
+        (std::ptr::eq(candidate.as_ptr(), name.as_ptr()) && candidate.len() == name.len())
+            || *candidate == name
+    })
+}
 
 /// Performance-counter names.
 pub mod perf {
@@ -28,6 +38,11 @@ pub mod perf {
         TX_PACKETS_PER_SEC,
         RX_PACKETS_PER_SEC,
     ];
+
+    /// Position of a performance counter name in [`ALL`].
+    pub fn index_of(name: &str) -> Option<usize> {
+        super::position(&ALL, name)
+    }
 }
 
 /// Diagnostic-counter names (the "nine vendor counters" of §7.2).
@@ -66,14 +81,9 @@ pub mod diag {
     ];
 
     /// Position of a diagnostic counter name in [`ALL`], used to accumulate
-    /// per-counter values in a plain array during evaluation. Names that
-    /// come from the constants above compare by pointer before falling back
-    /// to a byte compare.
+    /// per-counter values in a plain array during evaluation.
     pub fn index_of(name: &str) -> Option<usize> {
-        ALL.iter().position(|candidate| {
-            (std::ptr::eq(candidate.as_ptr(), name.as_ptr()) && candidate.len() == name.len())
-                || *candidate == name
-        })
+        super::position(&ALL, name)
     }
 }
 
@@ -82,10 +92,12 @@ pub mod diag {
 /// These are not RNIC hardware counters — they are derived from the
 /// switch's per-port pause accounting and the victim/culprit flow
 /// bookkeeping the fabric engine keeps — but they are published through the
-/// same [`CounterSnapshot`](collie_sim::counters::CounterSnapshot) surface
-/// so the search layer can treat them as opaque signals, exactly as it
-/// treats the vendor counters. Ratios are raw fractions in [0, 1].
+/// same [`CounterSnapshot`] surface so the search layer can treat them as
+/// opaque signals, exactly as it treats the vendor counters. Ratios are raw
+/// fractions in [0, 1].
 pub mod fabric {
+    use collie_sim::counters::CounterKind;
+
     /// Achieved / expected throughput of the worst victim flow (a benign
     /// flow from a pause-propagated sender port to a healthy receiver).
     pub const VICTIM_THROUGHPUT_FRAC: &str = "fabric/victim_throughput_frac";
@@ -107,97 +119,97 @@ pub mod fabric {
         PAUSE_SPREAD,
         MAX_PORT_PAUSE,
     ];
+
+    /// The kind of each gauge in [`ALL`], position for position: the two
+    /// throughput fractions are performance gauges (minimised), the three
+    /// pause gauges diagnostic ones (maximised).
+    pub const KINDS: [CounterKind; 5] = [
+        CounterKind::Performance,
+        CounterKind::Diagnostic,
+        CounterKind::Performance,
+        CounterKind::Diagnostic,
+        CounterKind::Diagnostic,
+    ];
 }
 
-/// Handles to every registered counter of one subsystem.
-///
-/// Each handle is stored next to the `&'static` name it was registered
-/// under, so the by-name entry points resolve with a plain string compare
-/// instead of asking the handle (which takes the registry lock and clones
-/// the name) — `Subsystem::evaluate` goes through these on every
-/// experiment.
+/// Slot of the first diagnostic counter: the schema declares
+/// [`perf::ALL`] and then [`diag::ALL`], so a counter's slot is its
+/// position in that sequence.
+const DIAG_BASE: usize = perf::ALL.len();
+
+/// The counter set of one RNIC: a schema of its own, declared once, and
+/// the live values the subsystem resets and publishes into on every
+/// experiment. A clone copies the values and shares the immutable schema.
 #[derive(Debug, Clone)]
 pub struct RnicCounters {
-    registry: CounterRegistry,
-    perf_handles: Vec<(&'static str, CounterHandle)>,
-    diag_handles: Vec<(&'static str, CounterHandle)>,
+    live: CounterSnapshot,
+}
+
+impl Default for RnicCounters {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl RnicCounters {
-    /// Register the full counter set into `registry`.
-    pub fn register(registry: &CounterRegistry) -> Self {
+    /// The full counter set, every value zero.
+    pub fn new() -> Self {
+        let declared = perf::ALL
+            .iter()
+            .map(|name| (*name, CounterKind::Performance))
+            .chain(
+                diag::ALL
+                    .iter()
+                    .map(|name| (*name, CounterKind::Diagnostic)),
+            );
         RnicCounters {
-            registry: registry.clone(),
-            perf_handles: perf::ALL
-                .iter()
-                .map(|name| (*name, registry.register(name, CounterKind::Performance)))
-                .collect(),
-            diag_handles: diag::ALL
-                .iter()
-                .map(|name| (*name, registry.register(name, CounterKind::Diagnostic)))
-                .collect(),
+            live: CounterSnapshot::zeroed(Arc::new(CounterSchema::new(declared))),
         }
     }
 
+    /// The counter schema (what the vendor monitoring daemon would
+    /// expose).
+    pub fn schema(&self) -> &CounterSchema {
+        self.live.schema()
+    }
+
+    /// Overwrite slot `slot`, clamped at zero (hardware counters never read
+    /// negative).
+    fn set(&mut self, slot: usize, value: f64) {
+        self.live.values_mut()[slot] = value.max(0.0);
+    }
+
     /// Set a performance counter by name (no-op for unknown names).
-    pub fn set_perf(&self, name: &str, value: f64) {
-        if let Some((_, h)) = self.perf_handles.iter().find(|(n, _)| *n == name) {
-            h.set(value);
+    pub fn set_perf(&mut self, name: &str, value: f64) {
+        if let Some(index) = perf::index_of(name) {
+            self.set(index, value);
         }
     }
 
     /// Set a diagnostic counter by name (no-op for unknown names).
-    pub fn set_diag(&self, name: &str, value: f64) {
-        if let Some((_, h)) = self.diag_handles.iter().find(|(n, _)| *n == name) {
-            h.set(value);
+    pub fn set_diag(&mut self, name: &str, value: f64) {
+        if let Some(index) = diag::index_of(name) {
+            self.set(DIAG_BASE + index, value);
         }
     }
 
-    /// Add to a diagnostic counter by name (no-op for unknown names).
-    pub fn add_diag(&self, name: &str, delta: f64) {
-        if let Some((_, h)) = self.diag_handles.iter().find(|(n, _)| *n == name) {
-            h.add(delta);
-        }
-    }
-
-    /// Zero every counter (between experiments), under one lock.
-    pub fn reset(&self) {
-        let mut writer = self.registry.writer();
-        for (_, h) in self.perf_handles.iter().chain(self.diag_handles.iter()) {
-            writer.set(h, 0.0);
-        }
-    }
-
-    /// Start a batched update: every set/add through the returned batch is
-    /// applied under a single registry lock acquisition. Value-for-value
-    /// identical to the unbatched entry points.
-    pub fn batch(&self) -> RnicCounterBatch<'_> {
-        RnicCounterBatch {
-            counters: self,
-            writer: self.registry.writer(),
-        }
-    }
-}
-
-/// One locked batch of counter updates (see [`RnicCounters::batch`]).
-pub struct RnicCounterBatch<'a> {
-    counters: &'a RnicCounters,
-    writer: CounterWriter<'a>,
-}
-
-impl RnicCounterBatch<'_> {
-    /// Batched [`RnicCounters::set_perf`].
-    pub fn set_perf(&mut self, name: &str, value: f64) {
-        if let Some((_, h)) = self.counters.perf_handles.iter().find(|(n, _)| *n == name) {
-            self.writer.set(h, value);
-        }
-    }
-
-    /// Batched [`RnicCounters::add_diag`].
+    /// Add to a diagnostic counter by name, clamped at zero (no-op for
+    /// unknown names).
     pub fn add_diag(&mut self, name: &str, delta: f64) {
-        if let Some((_, h)) = self.counters.diag_handles.iter().find(|(n, _)| *n == name) {
-            self.writer.add(h, delta);
+        if let Some(index) = diag::index_of(name) {
+            let value = &mut self.live.values_mut()[DIAG_BASE + index];
+            *value = (*value + delta).max(0.0);
         }
+    }
+
+    /// Zero every counter (between experiments).
+    pub fn reset(&mut self) {
+        self.live.values_mut().fill(0.0);
+    }
+
+    /// The current values as a snapshot.
+    pub fn snapshot(&self) -> CounterSnapshot {
+        self.live.clone()
     }
 }
 
@@ -207,72 +219,64 @@ mod tests {
 
     #[test]
     fn registers_thirteen_counters() {
-        let registry = CounterRegistry::new();
-        let _c = RnicCounters::register(&registry);
-        assert_eq!(registry.len(), 13);
-        assert_eq!(registry.names(CounterKind::Diagnostic).len(), 9);
-        assert_eq!(registry.names(CounterKind::Performance).len(), 4);
+        let c = RnicCounters::new();
+        assert_eq!(c.schema().len(), 13);
+        assert_eq!(c.schema().names(CounterKind::Diagnostic).len(), 9);
+        assert_eq!(c.schema().names(CounterKind::Performance).len(), 4);
+        for name in perf::ALL {
+            assert_eq!(c.snapshot().kind(name), Some(CounterKind::Performance));
+        }
+        for name in diag::ALL {
+            assert_eq!(c.snapshot().kind(name), Some(CounterKind::Diagnostic));
+        }
     }
 
     #[test]
     fn set_and_add_by_name() {
-        let registry = CounterRegistry::new();
-        let c = RnicCounters::register(&registry);
+        let mut c = RnicCounters::new();
         c.set_perf(perf::TX_BYTES_PER_SEC, 1e9);
         c.set_diag(diag::RECV_WQE_CACHE_MISS, 5.0);
         c.add_diag(diag::RECV_WQE_CACHE_MISS, 3.0);
-        let snap = registry.snapshot();
+        let snap = c.snapshot();
         assert_eq!(snap.value(perf::TX_BYTES_PER_SEC), Some(1e9));
         assert_eq!(snap.value(diag::RECV_WQE_CACHE_MISS), Some(8.0));
+        assert_eq!(snap.iter().filter(|(_, _, v)| *v != 0.0).count(), 2);
     }
 
     #[test]
     fn unknown_names_are_ignored() {
-        let registry = CounterRegistry::new();
-        let c = RnicCounters::register(&registry);
+        let mut c = RnicCounters::new();
         // collie-lint: begin(counter-name, reason = "deliberately unregistered names proving unknown-counter writes are no-ops")
         c.set_perf("perf/nope", 1.0);
         c.set_diag("diag/nope", 1.0);
-        assert!(registry.get("perf/nope").is_none());
+        c.add_diag("diag/nope", 1.0);
+        assert!(c.schema().index_of("perf/nope").is_none());
         // collie-lint: end(counter-name)
+        assert!(c.snapshot().iter().all(|(_, _, v)| v == 0.0));
     }
 
     #[test]
-    fn batched_updates_match_the_unbatched_entry_points() {
-        let registry = CounterRegistry::new();
-        let c = RnicCounters::register(&registry);
-        {
-            let mut batch = c.batch();
-            batch.set_perf(perf::TX_BYTES_PER_SEC, 2e9);
-            batch.add_diag(diag::MTT_CACHE_MISS, 4.0);
-            batch.add_diag(diag::MTT_CACHE_MISS, 1.5);
-            // collie-lint: begin(counter-name, reason = "deliberately unregistered names proving batched unknown-counter writes stay no-ops")
-            batch.set_perf("perf/nope", 1.0); // unknown names stay no-ops
-            batch.add_diag("diag/nope", 1.0);
-        }
-        let snap = registry.snapshot();
-        assert_eq!(snap.value(perf::TX_BYTES_PER_SEC), Some(2e9));
-        assert_eq!(snap.value(diag::MTT_CACHE_MISS), Some(5.5));
-        assert!(snap.value("perf/nope").is_none());
-        // collie-lint: end(counter-name)
+    fn values_never_go_negative() {
+        let mut c = RnicCounters::new();
+        c.add_diag(diag::MTT_CACHE_MISS, -5.0);
+        assert_eq!(c.snapshot().value(diag::MTT_CACHE_MISS), Some(0.0));
+        c.add_diag(diag::MTT_CACHE_MISS, 2.0);
+        c.add_diag(diag::MTT_CACHE_MISS, -10.0);
+        assert_eq!(c.snapshot().value(diag::MTT_CACHE_MISS), Some(0.0));
+        c.set_perf(perf::RX_PACKETS_PER_SEC, -1.0);
+        c.set_diag(diag::INTERNAL_INCAST, -1.0);
+        assert!(c.snapshot().iter().all(|(_, _, v)| v == 0.0));
     }
 
     #[test]
     fn reset_zeroes_all() {
-        let registry = CounterRegistry::new();
-        let c = RnicCounters::register(&registry);
+        let mut c = RnicCounters::new();
         c.set_perf(perf::RX_BYTES_PER_SEC, 7.0);
         c.set_diag(diag::INTERNAL_INCAST, 7.0);
+        let before = c.snapshot();
         c.reset();
-        let snap = registry.snapshot();
-        assert!(snap.iter().all(|(_, _, v)| v == 0.0));
-    }
-
-    #[test]
-    fn double_registration_is_idempotent() {
-        let registry = CounterRegistry::new();
-        let _a = RnicCounters::register(&registry);
-        let _b = RnicCounters::register(&registry);
-        assert_eq!(registry.len(), 13);
+        assert!(c.snapshot().iter().all(|(_, _, v)| v == 0.0));
+        // A snapshot taken before the reset keeps its values.
+        assert_eq!(before.value(diag::INTERNAL_INCAST), Some(7.0));
     }
 }

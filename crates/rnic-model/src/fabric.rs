@@ -256,29 +256,18 @@ pub fn evaluate_fabric(
     let pause_spread = storming as f64 / ports as f64;
     let max_port_pause = port_pause.iter().copied().fold(0.0, f64::max);
 
-    let counters = culprit.counters.merged([
-        (
-            fabric::VICTIM_THROUGHPUT_FRAC,
-            CounterKind::Performance,
-            victim_throughput_frac,
-        ),
-        (
-            fabric::CULPRIT_THROUGHPUT_FRAC,
-            CounterKind::Performance,
-            culprit_throughput_frac,
-        ),
-        (
-            fabric::VICTIM_PAUSE_RATIO,
-            CounterKind::Diagnostic,
-            victim_pause_ratio,
-        ),
-        (fabric::PAUSE_SPREAD, CounterKind::Diagnostic, pause_spread),
-        (
-            fabric::MAX_PORT_PAUSE,
-            CounterKind::Diagnostic,
-            max_port_pause,
-        ),
-    ]);
+    // The culprit's schema is extended by the gauges once (the merge plan
+    // is cached in it); every later measurement only copies values.
+    let gauges = [
+        victim_throughput_frac,
+        victim_pause_ratio,
+        culprit_throughput_frac,
+        pause_spread,
+        max_port_pause,
+    ];
+    let extra: [(&str, CounterKind, f64); 5] =
+        std::array::from_fn(|i| (fabric::ALL[i], fabric::KINDS[i], gauges[i]));
+    let counters = culprit.counters.merged(&extra);
 
     FabricMeasurement {
         shape,

@@ -11,13 +11,13 @@
 
 use crate::bottleneck::{evaluate_rules, Effect, FlowContext, StressReport};
 use crate::cache::miss_rate;
-use crate::counters::{diag, perf, RnicCounterBatch, RnicCounters};
+use crate::counters::{diag, perf, RnicCounters};
 use crate::pfc::PauseAccount;
 use crate::spec::RnicSpec;
 use crate::workload::{Direction, FlowSpec, WorkloadSpec};
 use collie_host::switch::LosslessSwitch;
 use collie_host::topology::{DmaDirection, HostConfig};
-use collie_sim::counters::{CounterRegistry, CounterSnapshot};
+use collie_sim::counters::{CounterSchema, CounterSnapshot};
 use collie_sim::time::SimDuration;
 use collie_sim::units::{BitRate, ByteSize, PacketRate};
 use serde::{Deserialize, Serialize};
@@ -86,6 +86,9 @@ impl Measurement {
 }
 
 /// A two-server RDMA subsystem under test.
+///
+/// A plain value: it owns its counters, so a clone measures independently
+/// of the original.
 #[derive(Debug, Clone)]
 pub struct Subsystem {
     /// Display name (e.g. "F").
@@ -98,7 +101,6 @@ pub struct Subsystem {
     pub host_b: HostConfig,
     /// The lossless switch between them.
     pub switch: LosslessSwitch,
-    registry: CounterRegistry,
     counters: RnicCounters,
 }
 
@@ -117,8 +119,6 @@ impl Subsystem {
         host_a: HostConfig,
         host_b: HostConfig,
     ) -> Self {
-        let registry = CounterRegistry::new();
-        let counters = RnicCounters::register(&registry);
         let switch = LosslessSwitch::new(rnic.line_rate);
         Subsystem {
             name: name.into(),
@@ -126,15 +126,14 @@ impl Subsystem {
             host_a,
             host_b,
             switch,
-            registry,
-            counters,
+            counters: RnicCounters::new(),
         }
     }
 
-    /// A handle to the counter registry (what the vendor monitoring daemon
-    /// would expose).
-    pub fn registry(&self) -> CounterRegistry {
-        self.registry.clone()
+    /// The counter schema every measurement of this subsystem is taken
+    /// over (what the vendor monitoring daemon would expose).
+    pub fn counter_schema(&self) -> &CounterSchema {
+        self.counters.schema()
     }
 
     /// The host at `index` (0 = A, 1 = B).
@@ -158,7 +157,7 @@ impl Subsystem {
         self.counters.reset();
         self.switch.reset();
         if !workload.is_valid() {
-            return Measurement::empty(self.registry.snapshot());
+            return Measurement::empty(self.counters.snapshot());
         }
 
         // --- Stage 1 — bottleneck rules: stress counters and collect
@@ -264,31 +263,29 @@ impl Subsystem {
         self.switch.record_pause(0, pause_ratio[0]);
         self.switch.record_pause(1, pause_ratio[1]);
 
-        // --- Stage 5 — publish counters, under a single registry lock.
-        // Update order (generic diagnostics, rule stress, performance
-        // gauges) matches the unbatched path it replaced; a zero stress
-        // maximum adds nothing, so unreported counters are skipped.
-        {
-            let mut batch = self.counters.batch();
-            self.publish_generic_diagnostics(&mut batch, workload, &metrics, pause_ratio);
-            for (index, name) in diag::ALL.iter().enumerate() {
-                let stress = diag_stress[index];
-                if stress > 0.0 {
-                    batch.add_diag(name, stress * DIAG_SCALE);
-                }
+        // --- Stage 5 — publish counters: generic diagnostics, rule
+        // stress, then the performance gauges (the order the adds
+        // accumulate in is part of the bit-identity contract); a zero
+        // stress maximum adds nothing, so unreported counters are skipped.
+        self.publish_generic_diagnostics(workload, &metrics, pause_ratio);
+        let counters = &mut self.counters;
+        for (index, name) in diag::ALL.iter().enumerate() {
+            let stress = diag_stress[index];
+            if stress > 0.0 {
+                counters.add_diag(name, stress * DIAG_SCALE);
             }
-            let total_bps: f64 = metrics.iter().map(|m| m.throughput.bits_per_sec()).sum();
-            let total_pps: f64 = metrics.iter().map(|m| m.packet_rate.pps()).sum();
-            batch.set_perf(perf::TX_BYTES_PER_SEC, total_bps / 8.0);
-            batch.set_perf(perf::RX_BYTES_PER_SEC, total_bps / 8.0);
-            batch.set_perf(perf::TX_PACKETS_PER_SEC, total_pps);
-            batch.set_perf(perf::RX_PACKETS_PER_SEC, total_pps);
         }
+        let total_bps: f64 = metrics.iter().map(|m| m.throughput.bits_per_sec()).sum();
+        let total_pps: f64 = metrics.iter().map(|m| m.packet_rate.pps()).sum();
+        counters.set_perf(perf::TX_BYTES_PER_SEC, total_bps / 8.0);
+        counters.set_perf(perf::RX_BYTES_PER_SEC, total_bps / 8.0);
+        counters.set_perf(perf::TX_PACKETS_PER_SEC, total_pps);
+        counters.set_perf(perf::RX_PACKETS_PER_SEC, total_pps);
 
         Measurement {
             directions: metrics,
             pause_ratio,
-            counters: self.registry.snapshot(),
+            counters: self.counters.snapshot(),
             window: SimDuration::from_secs(1),
         }
     }
@@ -406,21 +403,21 @@ impl Subsystem {
     /// the space produces the counter variance the search's ranking step
     /// relies on.
     fn publish_generic_diagnostics(
-        &self,
-        batch: &mut RnicCounterBatch<'_>,
+        &mut self,
         workload: &WorkloadSpec,
         metrics: &[DirectionMetrics],
         pause_ratio: [f64; 2],
     ) {
         let spec = &self.rnic;
+        let counters = &mut self.counters;
 
         // Connection-context pressure.
         let qpc = miss_rate(workload.total_qps() as f64, spec.qpc_cache_entries as f64);
-        batch.add_diag(diag::QP_CONTEXT_CACHE_MISS, qpc * DIAG_SCALE * 0.5);
+        counters.add_diag(diag::QP_CONTEXT_CACHE_MISS, qpc * DIAG_SCALE * 0.5);
 
         // Translation-table pressure.
         let mtt = miss_rate(workload.total_mrs() as f64, spec.mtt_cache_entries as f64);
-        batch.add_diag(diag::MTT_CACHE_MISS, mtt * DIAG_SCALE * 0.5);
+        counters.add_diag(diag::MTT_CACHE_MISS, mtt * DIAG_SCALE * 0.5);
 
         // Receive-descriptor pressure from two-sided flows.
         let recv_ws: f64 = workload
@@ -430,12 +427,12 @@ impl Subsystem {
             .map(|f| f.num_qps as f64 * f.recv_queue_depth as f64)
             .sum();
         let rwqe = miss_rate(recv_ws, spec.recv_wqe_cache_entries as f64);
-        batch.add_diag(diag::RECV_WQE_CACHE_MISS, rwqe * DIAG_SCALE * 0.5);
+        counters.add_diag(diag::RECV_WQE_CACHE_MISS, rwqe * DIAG_SCALE * 0.5);
 
         // Packet-processing utilisation.
         let total_pps: f64 = metrics.iter().map(|m| m.packet_rate.pps()).sum();
         let util = (total_pps / spec.max_packet_rate.pps().max(1.0)).clamp(0.0, 1.0);
-        batch.add_diag(diag::PACKET_PROCESSING_SATURATION, util * DIAG_SCALE * 0.3);
+        counters.add_diag(diag::PACKET_PROCESSING_SATURATION, util * DIAG_SCALE * 0.3);
 
         // Transmit WQE fetch pressure: control bytes relative to payload.
         let wqe_fraction: f64 = workload
@@ -447,11 +444,11 @@ impl Subsystem {
             })
             .sum::<f64>()
             / workload.flows.len() as f64;
-        batch.add_diag(diag::TX_WQE_FETCH_STALL, wqe_fraction * DIAG_SCALE * 0.3);
+        counters.add_diag(diag::TX_WQE_FETCH_STALL, wqe_fraction * DIAG_SCALE * 0.3);
 
         // Receive-buffer occupancy mirrors the pause pressure.
         let worst_pause = pause_ratio[0].max(pause_ratio[1]);
-        batch.add_diag(diag::RX_BUFFER_OCCUPANCY, worst_pause * DIAG_SCALE);
+        counters.add_diag(diag::RX_BUFFER_OCCUPANCY, worst_pause * DIAG_SCALE);
     }
 }
 

@@ -14,10 +14,10 @@
 //! * [`rng`] — a seedable, forkable PRNG with no external dependencies so
 //!   that every simulation and every search campaign is exactly
 //!   reproducible from a single `u64` seed.
-//! * [`counters`] — the counter registry. Collie's whole search signal is
-//!   "performance counters" and "diagnostic counters"; this module gives
-//!   every hardware model a uniform way to expose them and the search a
-//!   uniform way to snapshot them.
+//! * [`counters`] — the counter schema. Collie's whole search signal is
+//!   "performance counters" and "diagnostic counters"; every hardware model
+//!   declares its set once as a schema and publishes snapshots over it, so
+//!   the search reads them all the same way.
 //! * [`stats`] — online statistics and percentile summaries used by the
 //!   anomaly monitor and the benchmark harness.
 //! * [`series`] — time series recording, used to regenerate Figure 6
@@ -35,7 +35,7 @@ pub mod stats;
 pub mod time;
 pub mod units;
 
-pub use counters::{CounterHandle, CounterKind, CounterRegistry, CounterSnapshot};
+pub use counters::{CounterKind, CounterSchema, CounterSnapshot};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::{OnlineStats, Summary};

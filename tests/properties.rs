@@ -12,6 +12,8 @@
 //!   exactly as a fresh engine does;
 //! * the memo cache is sound: on a campaign-shaped stream of asks, the
 //!   memoizing evaluator answers exactly as the uncached reference does;
+//! * every measurement's counters are the declared schema: sorted names,
+//!   declared kinds, and the serialised form of its own triples;
 //! * the fabric victim gauge is non-increasing in propagated pause, and a
 //!   wider incast never lowers the victim's pause;
 //! * swapping the two hosts mirrors a measurement exactly;
@@ -26,9 +28,13 @@
 use collie::core::engine::Engine;
 use collie::core::eval::Evaluator;
 use collie::prelude::*;
+use collie::rnic::counters;
 use collie::rnic::subsystem::DirectionMetrics;
+use collie::sim::counters::{CounterKind, CounterSnapshot};
 use collie::sim::rng::SimRng;
 use proptest::prelude::*;
+use serde::Serialize;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 fn space_f() -> SearchSpace {
@@ -244,9 +250,9 @@ proptest! {
 
     /// A warm engine must measure every point of a seeded single-knob
     /// mutation chain (the access pattern of a campaign's proposal stream)
-    /// exactly as a fresh engine does: the evaluator's memo and
-    /// `WorkloadEngine::fork` both rely on it. "Exactly" is asserted twice
-    /// per step — structural equality of the `Measurement` (which compares
+    /// exactly as a fresh engine does: the evaluator's memo and the
+    /// qualifier's engine clones both rely on it. "Exactly" is asserted
+    /// twice per step — structural equality of the `Measurement` (which compares
     /// every f64 exactly) and equality of the canonical JSON encoding,
     /// which also pins counter names, ordering and the serialised shape
     /// the golden fixtures rely on.
@@ -397,6 +403,73 @@ proptest! {
             |point, rng| space.mutate(point, rng),
         );
         memo_agrees_with_reference(|| FabricEngine::for_catalog(SubsystemId::F), &asks, "fabric F")?;
+    }
+}
+
+/// Points per domain per case in the counter-schema property.
+const SCHEMA_POINTS: usize = 8;
+
+/// Every declared counter name with its declared kind: the RNIC's
+/// performance and diagnostic counters, plus the fabric gauges when
+/// `fabric` is set.
+fn declared_counters(fabric: bool) -> BTreeMap<&'static str, CounterKind> {
+    let mut declared: BTreeMap<&'static str, CounterKind> = counters::perf::ALL
+        .iter()
+        .map(|name| (*name, CounterKind::Performance))
+        .chain(
+            counters::diag::ALL
+                .iter()
+                .map(|name| (*name, CounterKind::Diagnostic)),
+        )
+        .collect();
+    if fabric {
+        declared.extend(
+            counters::fabric::ALL
+                .into_iter()
+                .zip(counters::fabric::KINDS),
+        );
+    }
+    declared
+}
+
+/// `snapshot` iterates exactly the `declared` counters, in sorted-name
+/// order and with their declared kinds, and serialises exactly as the
+/// snapshot `from_triples` rebuilds from its own triples.
+fn follows_the_schema(
+    snapshot: &CounterSnapshot,
+    declared: &BTreeMap<&'static str, CounterKind>,
+) -> Result<(), TestCaseError> {
+    let read: Vec<(&str, CounterKind)> = snapshot.iter().map(|(n, k, _)| (n, k)).collect();
+    let expected: Vec<(&str, CounterKind)> = declared.iter().map(|(n, k)| (*n, *k)).collect();
+    prop_assert_eq!(read, expected);
+    let rebuilt =
+        CounterSnapshot::from_triples(snapshot.iter().map(|(n, k, v)| (n.to_string(), k, v)));
+    prop_assert_eq!(snapshot, &rebuilt);
+    prop_assert_eq!(snapshot.to_value(), rebuilt.to_value());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32 })]
+
+    /// A measurement's counters are the declared schema: two-host and
+    /// fabric snapshots iterate in sorted-name order with the kinds
+    /// `perf::ALL`, `diag::ALL` and `fabric::ALL` declare, and serialise
+    /// like a snapshot built from their own triples.
+    #[test]
+    fn measurement_counters_follow_the_declared_schema(seed in any::<u64>()) {
+        let mut rng = SimRng::new(seed);
+        let space = space_f();
+        let fabric_space = FabricSpace::for_host(&SubsystemId::F.host());
+        let mut two_host = WorkloadEngine::for_catalog(SubsystemId::F);
+        let mut fabric = FabricEngine::for_catalog(SubsystemId::F);
+        let (two_host_counters, fabric_counters) = (declared_counters(false), declared_counters(true));
+        for _ in 0..SCHEMA_POINTS {
+            let point = space.random_point(&mut rng);
+            follows_the_schema(&two_host.measure(&point).counters, &two_host_counters)?;
+            let point = fabric_space.random_point(&mut rng);
+            follows_the_schema(&fabric.measure(&point).counters, &fabric_counters)?;
+        }
     }
 }
 
