@@ -40,7 +40,7 @@ pub mod perf {
     ];
 
     /// Position of a performance counter name in [`ALL`].
-    pub fn index_of(name: &str) -> Option<usize> {
+    pub(crate) fn index_of(name: &str) -> Option<usize> {
         super::position(&ALL, name)
     }
 }

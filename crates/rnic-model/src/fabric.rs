@@ -479,14 +479,17 @@ mod tests {
             fm.counters.value(fabric::VICTIM_PAUSE_RATIO),
             Some(fm.victim_pause_ratio)
         );
-        assert_eq!(
-            fm.counters.kind(fabric::VICTIM_PAUSE_RATIO),
-            Some(CounterKind::Diagnostic)
-        );
-        assert_eq!(
-            fm.counters.kind(fabric::VICTIM_THROUGHPUT_FRAC),
-            Some(CounterKind::Performance)
-        );
+        // The throughput fractions are minimised, the pause gauges
+        // maximised.
+        for (name, kind) in [
+            (fabric::VICTIM_THROUGHPUT_FRAC, CounterKind::Performance),
+            (fabric::CULPRIT_THROUGHPUT_FRAC, CounterKind::Performance),
+            (fabric::VICTIM_PAUSE_RATIO, CounterKind::Diagnostic),
+            (fabric::PAUSE_SPREAD, CounterKind::Diagnostic),
+            (fabric::MAX_PORT_PAUSE, CounterKind::Diagnostic),
+        ] {
+            assert_eq!(fm.counters.kind(name), Some(kind), "{name}");
+        }
         // The culprit's 13 RNIC counters survive alongside the 5 gauges.
         assert_eq!(fm.counters.len(), 13 + fabric::ALL.len());
     }
