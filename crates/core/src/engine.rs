@@ -159,7 +159,8 @@ impl WorkloadEngine {
     ///
     /// **Determinism contract** (see [`Engine`]): for a fixed subsystem
     /// configuration this is a pure function of `point` —
-    /// `Subsystem::evaluate` resets all counter and switch state on entry.
+    /// `Subsystem::evaluate` resets all counter and switch state and clears
+    /// its report scratch on entry.
     pub fn measure(&mut self, point: &SearchPoint) -> Measurement {
         let workload = self.translate(point);
         self.subsystem.evaluate(&workload)
@@ -185,6 +186,7 @@ impl WorkloadEngine {
     pub fn ground_truth(&self, point: &SearchPoint) -> Vec<&'static str> {
         let workload = self.translate(point);
         let mut triggered = Vec::new();
+        let mut reports = Vec::new();
         for flow in &workload.flows {
             let sender_host = self.subsystem.host(flow.direction.sender_host());
             let receiver_host = self.subsystem.host(flow.direction.receiver_host());
@@ -195,7 +197,9 @@ impl WorkloadEngine {
                 sender_host,
                 receiver_host,
             };
-            for report in evaluate_rules(&ctx) {
+            reports.clear();
+            evaluate_rules(&ctx, &mut reports);
+            for report in &reports {
                 if report.triggered() && !triggered.contains(&report.rule) {
                     triggered.push(report.rule);
                 }

@@ -144,22 +144,23 @@ fn bidirectional_for(workload: &WorkloadSpec, transport: Transport, opcode: Opco
     dir(Direction::AToB) && dir(Direction::BToA)
 }
 
-/// Evaluate every applicable rule against one flow.
-pub fn evaluate_rules(ctx: &FlowContext<'_>) -> Vec<StressReport> {
-    let mut reports = Vec::new();
+/// Evaluate every applicable rule against one flow, appending one report
+/// per rule to `out` in rule order. Which rules apply depends only on
+/// `ctx.spec`, so every flow of a subsystem gets the same number of
+/// reports.
+pub fn evaluate_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     match ctx.spec.model.vendor() {
         RnicVendor::Mellanox => {
             if ctx.spec.model.is_cx6() {
-                mellanox_cx6_rules(ctx, &mut reports);
+                mellanox_cx6_rules(ctx, out);
             }
-            host_topology_rules(ctx, &mut reports);
+            host_topology_rules(ctx, out);
         }
         RnicVendor::Broadcom => {
-            broadcom_rules(ctx, &mut reports);
-            host_topology_rules(ctx, &mut reports);
+            broadcom_rules(ctx, out);
+            host_topology_rules(ctx, out);
         }
     }
-    reports
 }
 
 /// Rules #1–#10: the ConnectX-6 anomalies of Appendix A.1 that depend only
@@ -498,13 +499,19 @@ mod tests {
         } else {
             (sender, receiver)
         };
-        evaluate_rules(&FlowContext {
+        rules_of(&FlowContext {
             flow,
             workload,
             spec,
             sender_host: sender,
             receiver_host: receiver,
         })
+    }
+
+    fn rules_of(ctx: &FlowContext<'_>) -> Vec<StressReport> {
+        let mut reports = Vec::new();
+        evaluate_rules(ctx, &mut reports);
+        reports
     }
 
     fn triggered_rules(reports: &[StressReport]) -> Vec<&'static str> {
@@ -663,9 +670,9 @@ mod tests {
             sender_host: &host,
             receiver_host: &host,
         };
-        let bc_rules = triggered_rules(&evaluate_rules(&ctx_bc));
+        let bc_rules = triggered_rules(&rules_of(&ctx_bc));
         assert!(bc_rules.contains(&"collie/15"));
-        let mlx_rules: Vec<_> = evaluate_rules(&ctx_mlx).iter().map(|r| r.rule).collect();
+        let mlx_rules: Vec<_> = rules_of(&ctx_mlx).iter().map(|r| r.rule).collect();
         assert!(!mlx_rules.contains(&"collie/15"));
     }
 
@@ -690,7 +697,7 @@ mod tests {
                 sender_host: &host,
                 receiver_host: &host,
             };
-            triggered_rules(&evaluate_rules(&ctx)).contains(&"collie/17")
+            triggered_rules(&rules_of(&ctx)).contains(&"collie/17")
         };
         assert!(triggered_before);
 
@@ -702,7 +709,7 @@ mod tests {
             sender_host: &host,
             receiver_host: &host,
         };
-        assert!(!triggered_rules(&evaluate_rules(&ctx)).contains(&"collie/17"));
+        assert!(!triggered_rules(&rules_of(&ctx)).contains(&"collie/17"));
     }
 
     #[test]

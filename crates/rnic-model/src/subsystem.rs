@@ -7,7 +7,8 @@
 //! the fluid performance model and the bottleneck rules, and returns a
 //! [`Measurement`] with per-direction throughput, per-host pause-duration
 //! ratios, and a snapshot of all hardware counters — the exact observables
-//! the Collie search layer consumes.
+//! the Collie search layer consumes. The only heap memory a measurement
+//! allocates is the [`Measurement`] it returns.
 
 use crate::bottleneck::{evaluate_rules, Effect, FlowContext, StressReport};
 use crate::cache::miss_rate;
@@ -21,6 +22,7 @@ use collie_sim::counters::{CounterSchema, CounterSnapshot};
 use collie_sim::time::SimDuration;
 use collie_sim::units::{BitRate, ByteSize, PacketRate};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Fraction of a receive deficit absorbed without emitting pause frames
 /// (start-up transients; see §5.2's rationale for a non-zero threshold).
@@ -102,13 +104,44 @@ pub struct Subsystem {
     /// The lossless switch between them.
     pub switch: LosslessSwitch,
     counters: RnicCounters,
+    reports: ReportScratch,
 }
 
+/// Stage 1's report buffer, kept across [`Subsystem::evaluate`] calls so
+/// that a measurement does not allocate it. `evaluate` clears it on entry,
+/// so its contents never outlive one call: a clone starts empty and
+/// `Debug` does not show them.
+#[derive(Default)]
+struct ReportScratch(Vec<StressReport>);
+
+impl Clone for ReportScratch {
+    fn clone(&self) -> Self {
+        ReportScratch::default()
+    }
+}
+
+impl fmt::Debug for ReportScratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ReportScratch")
+    }
+}
+
+#[derive(Clone, Copy)]
 struct DirectionOutcome {
     direction: Direction,
     offered: BitRate,
     drain: BitRate,
     mean_packet_bytes: f64,
+}
+
+impl DirectionOutcome {
+    /// Filler for the unused slots of stage 2's fixed array.
+    const UNUSED: DirectionOutcome = DirectionOutcome {
+        direction: Direction::AToB,
+        offered: BitRate::ZERO,
+        drain: BitRate::ZERO,
+        mean_packet_bytes: 0.0,
+    };
 }
 
 impl Subsystem {
@@ -127,6 +160,7 @@ impl Subsystem {
             host_b,
             switch,
             counters: RnicCounters::new(),
+            reports: ReportScratch::default(),
         }
     }
 
@@ -145,51 +179,61 @@ impl Subsystem {
         }
     }
 
-    fn host_pair_for(&self, flow: &FlowSpec) -> (&HostConfig, &HostConfig) {
-        let sender = self.host(flow.direction.sender_host());
-        let receiver = self.host(flow.direction.receiver_host());
-        (sender, receiver)
-    }
-
     /// Run one experiment: offer `workload` for the measurement window and
     /// observe throughput, pause behaviour, and counters.
     pub fn evaluate(&mut self, workload: &WorkloadSpec) -> Measurement {
         self.counters.reset();
         self.switch.reset();
+        self.reports.0.clear();
         if !workload.is_valid() {
             return Measurement::empty(self.counters.snapshot());
         }
 
         // --- Stage 1 — bottleneck rules: stress counters and collect
-        // triggered effects, per flow. Per-counter stress maxima accumulate
-        // in a plain array indexed by `diag::ALL` position; distinct
-        // counters receive independent adds in stage 5, so the array order
-        // is value-identical to the sorted map it replaced.
-        let mut rule_reports: Vec<(Direction, StressReport)> = Vec::new();
+        // triggered effects, per flow, into the report buffer. Every flow
+        // gets one report per applicable rule, so flow `i`'s reports are
+        // the buffer's `i`-th chunk (stage 2 relies on it). Per-counter
+        // stress maxima accumulate in a plain array indexed by `diag::ALL`
+        // position; distinct counters receive independent adds in stage 5,
+        // so the array order is value-identical to the sorted map it
+        // replaced.
+        let hosts = [&self.host_a, &self.host_b];
+        let reports = &mut self.reports.0;
         let mut diag_stress = [0.0_f64; diag::ALL.len()];
-        for flow in &workload.flows {
-            for report in self.flow_reports(flow, workload) {
+        for (index, flow) in workload.flows.iter().enumerate() {
+            let start = reports.len();
+            let ctx = FlowContext {
+                flow,
+                workload,
+                spec: &self.rnic,
+                sender_host: hosts[flow.direction.sender_host()],
+                receiver_host: hosts[flow.direction.receiver_host()],
+            };
+            evaluate_rules(&ctx, reports);
+            debug_assert_eq!(reports.len(), (index + 1) * (reports.len() - start));
+            for report in &reports[start..] {
                 if let Some(index) = diag::index_of(report.counter) {
                     diag_stress[index] = diag_stress[index].max(report.stress);
                 }
-                rule_reports.push((flow.direction, report));
             }
         }
 
         // --- Stage 2 — per-direction fluid model, then the per-direction
-        // rule effects.
-        let mut outcomes: Vec<DirectionOutcome> = Vec::new();
+        // rule effects. At most three directions carry flows; they fill
+        // the first slots in this order.
+        let mut outcome_slots = [DirectionOutcome::UNUSED; 3];
+        let mut active = 0;
         for direction in [Direction::AToB, Direction::BToA, Direction::LoopbackA] {
-            let flows: Vec<&FlowSpec> = workload
+            if workload
                 .flows
                 .iter()
-                .filter(|flow| flow.direction == direction)
-                .collect();
-            if flows.is_empty() {
-                continue;
+                .any(|flow| flow.direction == direction)
+            {
+                outcome_slots[active] = self.direction_outcome(direction, workload);
+                active += 1;
             }
-            outcomes.push(self.direction_outcome(direction, &flows, workload, &rule_reports));
         }
+        let outcomes = &mut outcome_slots[..active];
 
         // --- Stage 3 — host-level PCIe sharing (full-duplex: payload reads
         // towards the NIC on the transmit side, payload writes from the NIC
@@ -237,13 +281,17 @@ impl Subsystem {
             }
         }
 
-        // --- Stage 4 — pause accounting and achieved throughput.
-        let mut pause_parts: [Vec<PauseAccount>; 2] = [Vec::new(), Vec::new()];
-        let mut metrics = Vec::new();
-        for o in &outcomes {
+        // --- Stage 4 — pause accounting and achieved throughput. Each
+        // host combines its parts in direction order, as above.
+        let mut pause_parts = [[PauseAccount::NONE; 3]; 2];
+        let mut pause_len = [0; 2];
+        let mut metrics = Vec::with_capacity(outcomes.len());
+        for o in outcomes.iter() {
             let achieved = o.offered.min(o.drain);
             let receiver = o.direction.receiver_host();
-            pause_parts[receiver].push(PauseAccount::from_rates(o.offered, o.drain, PAUSE_GRACE));
+            pause_parts[receiver][pause_len[receiver]] =
+                PauseAccount::from_rates(o.offered, o.drain, PAUSE_GRACE);
+            pause_len[receiver] += 1;
             let pps = if o.mean_packet_bytes > 0.0 {
                 achieved.bytes_per_sec() / o.mean_packet_bytes
             } else {
@@ -257,8 +305,8 @@ impl Subsystem {
             });
         }
         let pause_ratio = [
-            PauseAccount::combine(&pause_parts[0]).pause_ratio,
-            PauseAccount::combine(&pause_parts[1]).pause_ratio,
+            PauseAccount::combine(&pause_parts[0][..pause_len[0]]).pause_ratio,
+            PauseAccount::combine(&pause_parts[1][..pause_len[1]]).pause_ratio,
         ];
         self.switch.record_pause(0, pause_ratio[0]);
         self.switch.record_pause(1, pause_ratio[1]);
@@ -290,43 +338,27 @@ impl Subsystem {
         }
     }
 
-    /// Stage-1 unit: evaluate every bottleneck rule against one flow of
-    /// `workload`.
-    fn flow_reports(&self, flow: &FlowSpec, workload: &WorkloadSpec) -> Vec<StressReport> {
-        let (sender_host, receiver_host) = self.host_pair_for(flow);
-        evaluate_rules(&FlowContext {
-            flow,
-            workload,
-            spec: &self.rnic,
-            sender_host,
-            receiver_host,
-        })
-    }
-
     /// Stage-2 unit: the offered rate and drain rate of one direction before
     /// host-level sharing is applied — the fluid performance model of its
-    /// flows, then this direction's triggered rule effects.
-    fn direction_outcome(
-        &self,
-        direction: Direction,
-        flows: &[&FlowSpec],
-        workload: &WorkloadSpec,
-        rule_reports: &[(Direction, StressReport)],
-    ) -> DirectionOutcome {
+    /// flows, then this direction's triggered rule effects from stage 1's
+    /// report buffer.
+    fn direction_outcome(&self, direction: Direction, workload: &WorkloadSpec) -> DirectionOutcome {
         let spec = &self.rnic;
         let sender_host = self.host(direction.sender_host());
         let receiver_host = self.host(direction.receiver_host());
+        let flows = || {
+            workload
+                .flows
+                .iter()
+                .filter(move |flow| flow.direction == direction)
+        };
 
-        let total_qps: f64 = flows.iter().map(|f| f.num_qps as f64).sum();
+        let total_qps: f64 = flows().map(|f| f.num_qps as f64).sum();
         let weight = |f: &FlowSpec| f.num_qps as f64 / total_qps.max(1.0);
 
         // Weighted traffic shape.
-        let mean_msg: f64 = flows
-            .iter()
-            .map(|f| weight(f) * f.mean_message_bytes())
-            .sum();
-        let mean_pkts_per_msg: f64 = flows
-            .iter()
+        let mean_msg: f64 = flows().map(|f| weight(f) * f.mean_message_bytes()).sum();
+        let mean_pkts_per_msg: f64 = flows()
             .map(|f| weight(f) * f.mean_packets_per_message())
             .sum::<f64>()
             .max(1.0);
@@ -347,7 +379,7 @@ impl Subsystem {
         // reads and the packet-rate budget is what actually limits small
         // unbatched messages.
         let mut sender_dma_bps = 0.0;
-        for f in flows {
+        for f in flows() {
             let path = sender_host.dma_path(f.src_memory, DmaDirection::FromMemory);
             let chunk = f.mean_message_bytes().min(f.mtu as f64).max(1.0);
             let link = sender_host.pcie_link.effective_bandwidth(
@@ -360,7 +392,7 @@ impl Subsystem {
         // Receiver-side drain: payload writes bounded by the destination
         // memory path and the receive-side packet handling budget.
         let mut receiver_dma_bps = 0.0;
-        for f in flows {
+        for f in flows() {
             let path = receiver_host.dma_path(f.dst_memory, DmaDirection::ToMemory);
             let chunk = f.mean_message_bytes().min(f.mtu as f64).max(1.0);
             let link = receiver_host.pcie_link.effective_bandwidth(
@@ -375,17 +407,23 @@ impl Subsystem {
         let mut drain = line.min(receiver_dma_bps);
 
         // Triggered rule effects, in report order (the order effects
-        // multiply in is part of the bit-identity contract).
-        for (dir, report) in rule_reports {
-            if *dir != direction || !report.triggered() {
+        // multiply in is part of the bit-identity contract); flow `i`'s
+        // reports are chunk `i` of the buffer.
+        let reports = &self.reports.0;
+        let per_flow = (reports.len() / workload.flows.len()).max(1);
+        let flow_reports = workload.flows.iter().zip(reports.chunks_exact(per_flow));
+        for (flow, flow_reports) in flow_reports {
+            if flow.direction != direction {
                 continue;
             }
-            match report.effect {
-                Effect::SenderThrottle { factor } => {
-                    offered *= factor;
-                }
-                Effect::ReceiverPause { severity } => {
-                    drain *= 1.0 - severity;
+            for report in flow_reports.iter().filter(|report| report.triggered()) {
+                match report.effect {
+                    Effect::SenderThrottle { factor } => {
+                        offered *= factor;
+                    }
+                    Effect::ReceiverPause { severity } => {
+                        drain *= 1.0 - severity;
+                    }
                 }
             }
         }
@@ -642,6 +680,32 @@ mod tests {
         let healthy = sys.evaluate(&WorkloadSpec::single(healthy_write_flow(Direction::AToB)));
         assert!(healthy.counters.value(diag::RECV_WQE_CACHE_MISS).unwrap() < 0.3 * DIAG_SCALE);
         assert!(healthy.max_pause_ratio() < 0.001);
+    }
+
+    #[test]
+    fn report_scratch_never_leaks_into_the_next_measurement() {
+        // Bidirectional cross-socket traffic (#11) plus loopback beside
+        // inbound traffic (#13): every direction carries a triggered rule.
+        let mut sys = subsystem_f();
+        let mut fwd = healthy_write_flow(Direction::AToB);
+        fwd.dst_memory = MemoryTarget::HostDram { numa_node: 1 };
+        let mut rev = healthy_write_flow(Direction::BToA);
+        rev.dst_memory = MemoryTarget::HostDram { numa_node: 1 };
+        let three = WorkloadSpec {
+            flows: vec![fwd, rev, healthy_write_flow(Direction::LoopbackA)],
+        };
+        sys.evaluate(&three);
+        let per_flow = sys.reports.0.len() / three.flows.len();
+        for (flow, reports) in three.flows.iter().zip(sys.reports.0.chunks_exact(per_flow)) {
+            assert!(
+                reports.iter().any(StressReport::triggered),
+                "{}: no triggered rule",
+                flow.direction
+            );
+        }
+
+        let one = WorkloadSpec::single(healthy_write_flow(Direction::AToB));
+        assert_eq!(sys.evaluate(&one), subsystem_f().evaluate(&one));
     }
 
     #[test]
