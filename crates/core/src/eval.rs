@@ -12,9 +12,9 @@
 //! [`Evaluator`] wraps any [`Engine`]'s `measure` with a memo cache keyed
 //! by the canonical point. This is sound because every engine is
 //! deterministic: [`Subsystem::evaluate`](collie_rnic::subsystem::Subsystem)
-//! resets all counter and switch state on entry, so a measurement is a pure
-//! function of the point (see the determinism tests below and the contract
-//! on [`Engine`]). Campaigns route every experiment — search, counter
+//! resets all counter and switch state and clears its report scratch on
+//! entry, so a measurement is a pure function of the point (see the
+//! determinism tests below and the contract on [`Engine`]). Campaigns route every experiment — search, counter
 //! ranking, and MFS probing — through one shared evaluator, so an
 //! extraction's probes warm the cache for the next one.
 
@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 // collie-lint: allow(wall-clock, reason = "EvalProfile records real compute latency; it never feeds a campaign decision")
 use std::time::Instant;
@@ -318,6 +318,66 @@ impl Default for EvalContext {
     }
 }
 
+/// The memo map's hasher: the Fx multiply-rotate hash, plus a final
+/// rotate that brings the product's better-mixed high bits down to the
+/// bucket-index bits. The map is keyed by the campaign's own points and
+/// is never iterated, so SipHash's resistance to adversarial keys buys
+/// nothing there, and the hash cannot change an answer: it only places
+/// entries.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FxHasher::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for chunk in &mut words {
+            let mut word = [0; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
 /// Run one flow-model compute and record its wall-clock latency.
 fn timed_measure<E: Engine>(
     engine: &mut E,
@@ -348,7 +408,7 @@ fn timed_measure<E: Engine>(
 #[derive(Debug)]
 pub struct Evaluator<'e, E: Engine = WorkloadEngine> {
     engine: &'e mut E,
-    cache: HashMap<E::Point, Arc<E::Measurement>>,
+    cache: HashMap<E::Point, Arc<E::Measurement>, BuildHasherDefault<FxHasher>>,
     shared: Option<Arc<SharedCache<E::Point, E::Measurement>>>,
     memoize: bool,
     stats: EvalStats,
@@ -361,7 +421,7 @@ impl<'e, E: Engine> Evaluator<'e, E> {
     pub fn new(engine: &'e mut E) -> Self {
         Evaluator {
             engine,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             shared: None,
             memoize: true,
             stats: EvalStats::default(),
