@@ -146,7 +146,9 @@ impl MessagePattern {
     }
 
     /// A pattern from an explicit size vector. Empty patterns are replaced
-    /// by a single 1-byte request so every flow sends something.
+    /// by a single 1-byte request so every flow sends something (a
+    /// deserialized pattern can still be empty; [`FlowSpec::is_valid`]
+    /// rejects it).
     pub fn new(sizes: Vec<u64>) -> Self {
         if sizes.is_empty() {
             MessagePattern { sizes: vec![1] }
@@ -165,9 +167,10 @@ impl MessagePattern {
         self.sizes.len()
     }
 
-    /// Always false: patterns are never empty after construction.
+    /// True if the window holds no request. [`MessagePattern::new`] never
+    /// builds one, but deserialization can.
     pub fn is_empty(&self) -> bool {
-        false
+        self.sizes.is_empty()
     }
 
     /// Mean request size in bytes.
@@ -270,9 +273,11 @@ impl FlowSpec {
         }
     }
 
-    /// Whether the transport/opcode combination is legal.
+    /// Whether the transport/opcode combination is legal and every knob
+    /// describes some traffic (an empty message pattern does not).
     pub fn is_valid(&self) -> bool {
         self.opcode.valid_on(self.transport)
+            && !self.messages.is_empty()
             && self.num_qps > 0
             && self.mtu >= 256
             && self.wqe_batch > 0

@@ -9,6 +9,7 @@
 
 use collie::prelude::*;
 use collie::rnic::spec::RnicVendor;
+use collie::rnic::workload::{FlowSpec, WorkloadSpec};
 
 #[test]
 fn table1_metadata_matches_the_paper() {
@@ -192,4 +193,22 @@ fn a_short_campaign_runs_on_every_subsystem() {
             "{id}: budget ignored"
         );
     }
+}
+
+/// A workload read from JSON can carry an empty message pattern, which no
+/// constructor builds. It must measure as an invalid workload, not panic.
+#[test]
+fn a_deserialized_empty_message_pattern_is_an_invalid_workload() {
+    let workload = WorkloadSpec::single(FlowSpec::basic(Direction::AToB));
+    let json = serde_json::to_string(&workload).unwrap();
+    let sizes = serde_json::to_string(&workload.flows[0].messages.sizes()).unwrap();
+    let emptied = json.replace(&sizes, "[]");
+    assert_ne!(emptied, json, "the pattern's sizes must appear in {json}");
+
+    let parsed: WorkloadSpec = serde_json::from_str(&emptied).unwrap();
+    let mut subsystem = SubsystemId::F.build();
+    let invalid = subsystem.evaluate(&WorkloadSpec::default());
+    assert_eq!(subsystem.evaluate(&parsed), invalid);
+    assert!(parsed.flows[0].messages.is_empty());
+    assert!(!parsed.is_valid());
 }
