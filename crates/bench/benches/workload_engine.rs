@@ -17,6 +17,7 @@ use collie_rnic::subsystems::SubsystemId;
 use collie_sim::rng::SimRng;
 use collie_sim::time::SimDuration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::collections::HashSet;
 
 fn bench_evaluate(c: &mut Criterion) {
     let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
@@ -27,6 +28,12 @@ fn bench_evaluate(c: &mut Criterion) {
     });
     c.bench_function("evaluate/anomalous_point", |b| {
         b.iter(|| black_box(engine.measure(black_box(&anomalous))))
+    });
+    // The scoring oracle: translate the point, then run every rule against
+    // each of its flows.
+    assert!(engine.ground_truth(&anomalous).contains(&"collie/10"));
+    c.bench_function("engine/ground_truth", |b| {
+        b.iter(|| black_box(engine.ground_truth(black_box(&anomalous))))
     });
     // A memo hit: the evaluator answers from its map, so the leg costs the
     // key clone, the lookup and cloning the cached measurement out.
@@ -84,7 +91,8 @@ fn bench_space_operations(c: &mut Criterion) {
 }
 
 /// One warm engine cycling through a seeded single-knob mutation chain —
-/// the same access pattern a campaign's proposal stream produces.
+/// the same access pattern a campaign's proposal stream produces — first
+/// bare, then through the memoizing evaluator.
 fn bench_mutation_chain(c: &mut Criterion) {
     let space = SearchSpace::for_host(&SubsystemId::F.host());
     let mut rng = SimRng::new(collie_bench::DEFAULT_SEEDS[0]);
@@ -103,6 +111,26 @@ fn bench_mutation_chain(c: &mut Criterion) {
             measurement
         })
     });
+
+    // Memo misses: one iteration walks the chain's distinct points through
+    // a fresh evaluator, so every ask hashes its point, inserts it and runs
+    // the flow model. The leg's time is one whole pass.
+    let mut seen = HashSet::new();
+    let distinct: Vec<SearchPoint> = chain
+        .into_iter()
+        .filter(|point| seen.insert(point.clone()))
+        .collect();
+    let mut hits = 0;
+    c.bench_function("evaluate/memo_miss", |b| {
+        b.iter(|| {
+            let mut evaluator = Evaluator::new(&mut engine);
+            for point in &distinct {
+                black_box(evaluator.measure(black_box(point)));
+            }
+            hits += evaluator.stats().hits;
+        })
+    });
+    assert_eq!(hits, 0, "memo_miss must never hit");
 }
 
 fn bench_mfs_extraction(c: &mut Criterion) {
