@@ -200,7 +200,7 @@ impl Subsystem {
         let hosts = [&self.host_a, &self.host_b];
         let reports = &mut self.reports.0;
         let mut diag_stress = [0.0_f64; diag::ALL.len()];
-        for (index, flow) in workload.flows.iter().enumerate() {
+        for (position, flow) in workload.flows.iter().enumerate() {
             let start = reports.len();
             let ctx = FlowContext {
                 flow,
@@ -210,7 +210,7 @@ impl Subsystem {
                 receiver_host: hosts[flow.direction.receiver_host()],
             };
             evaluate_rules(&ctx, reports);
-            debug_assert_eq!(reports.len(), (index + 1) * (reports.len() - start));
+            debug_assert_eq!(reports.len(), (position + 1) * (reports.len() - start));
             for report in &reports[start..] {
                 if let Some(index) = diag::index_of(report.counter) {
                     diag_stress[index] = diag_stress[index].max(report.stress);
