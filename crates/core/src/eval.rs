@@ -14,9 +14,10 @@
 //! deterministic: [`Subsystem::evaluate`](collie_rnic::subsystem::Subsystem)
 //! resets all counter and switch state and clears its report scratch on
 //! entry, so a measurement is a pure function of the point (see the
-//! determinism tests below and the contract on [`Engine`]). Campaigns route every experiment — search, counter
-//! ranking, and MFS probing — through one shared evaluator, so an
-//! extraction's probes warm the cache for the next one.
+//! determinism tests below and the contract on [`Engine`]). Campaigns
+//! route every experiment — search, counter ranking, and MFS probing —
+//! through one shared evaluator, so an extraction's probes warm the cache
+//! for the next one.
 
 use crate::engine::{Engine, WorkloadEngine};
 use crate::monitor::AnomalyMonitor;
@@ -354,10 +355,6 @@ impl Hasher for FxHasher {
     }
 
     fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u16(&mut self, i: u16) {
         self.add(u64::from(i));
     }
 
