@@ -14,6 +14,7 @@ use collie_core::search::{SearchConfig, SignalMode, WorkloadDomain};
 use collie_core::space::{FabricPoint, FabricSpace, SearchPoint, SearchSpace};
 use collie_rnic::fabric::{TrafficPattern, PAUSE_SPREAD_THRESHOLD};
 use collie_rnic::subsystems::SubsystemId;
+use collie_rnic::workload::WorkloadSpec;
 use collie_sim::rng::SimRng;
 use collie_sim::time::SimDuration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -92,7 +93,8 @@ fn bench_space_operations(c: &mut Criterion) {
 
 /// One warm engine cycling through a seeded single-knob mutation chain —
 /// the same access pattern a campaign's proposal stream produces — first
-/// bare, then through the memoizing evaluator.
+/// the flow model alone on the chain's translated workloads, then bare
+/// measurements, then through the memoizing evaluator.
 fn bench_mutation_chain(c: &mut Criterion) {
     let space = SearchSpace::for_host(&SubsystemId::F.host());
     let mut rng = SimRng::new(collie_bench::DEFAULT_SEEDS[0]);
@@ -103,6 +105,19 @@ fn bench_mutation_chain(c: &mut Criterion) {
         chain.push(point.clone());
     }
     let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
+    // `Subsystem::evaluate` only: the workloads are translated beforehand,
+    // so the leg leaves out what `chain/scratch` adds to it.
+    let workloads: Vec<WorkloadSpec> = chain.iter().map(|point| engine.translate(point)).collect();
+    let mut subsystem = engine.subsystem().clone();
+    let mut index = 0usize;
+    c.bench_function("chain/flow_model", |b| {
+        b.iter(|| {
+            let measurement = black_box(subsystem.evaluate(black_box(&workloads[index])));
+            index = (index + 1) % workloads.len();
+            measurement
+        })
+    });
+
     let mut index = 0usize;
     c.bench_function("chain/scratch", |b| {
         b.iter(|| {
