@@ -70,8 +70,8 @@ pub struct StressReport {
     /// Stable rule identifier; rule `collie/<n>` reproduces paper anomaly
     /// `#<n>`.
     pub rule: &'static str,
-    /// The diagnostic counter this rule's stress feeds.
-    pub counter: &'static str,
+    /// The diagnostic counter this rule's stress feeds, by slot.
+    pub counter: diag::Slot,
     /// The weakest condition factor, clamped to [0, 1.2].
     pub stress: f64,
     /// What happens when the rule is fully triggered.
@@ -144,10 +144,14 @@ fn bidirectional_for(workload: &WorkloadSpec, transport: Transport, opcode: Opco
     dir(Direction::AToB) && dir(Direction::BToA)
 }
 
+/// The most reports [`evaluate_rules`] appends for one flow: rules #1–#13
+/// on a ConnectX-6. A caller can size its report buffer once with it.
+pub const MAX_REPORTS_PER_FLOW: usize = 13;
+
 /// Evaluate every applicable rule against one flow, appending one report
 /// per rule to `out` in rule order. Which rules apply depends only on
 /// `ctx.spec`, so every flow of a subsystem gets the same number of
-/// reports.
+/// reports, at most [`MAX_REPORTS_PER_FLOW`].
 pub fn evaluate_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     match ctx.spec.model.vendor() {
         RnicVendor::Mellanox => {
@@ -173,7 +177,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // Anomaly #1: UD SEND, large WQE batch, long work queue -> pause storm.
     out.push(StressReport {
         rule: "collie/1",
-        counter: diag::RECV_WQE_CACHE_MISS,
+        counter: diag::Slot::RECV_WQE_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Ud && f.opcode == Opcode::Send),
             at_least(f.wqe_batch as f64, 64.0),
@@ -186,7 +190,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // connections -> throughput drop without pause frames.
     out.push(StressReport {
         rule: "collie/2",
-        counter: diag::RECV_WQE_CACHE_MISS,
+        counter: diag::Slot::RECV_WQE_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Ud && f.opcode == Opcode::Send),
             at_most(f.wqe_batch as f64, 8.0),
@@ -200,7 +204,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // Anomaly #3: RC READ with large messages at a small MTU -> pause.
     out.push(StressReport {
         rule: "collie/3",
-        counter: diag::PACKET_PROCESSING_SATURATION,
+        counter: diag::Slot::PACKET_PROCESSING_SATURATION,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Read),
             at_most(f.mtu as f64, 1024.0),
@@ -213,7 +217,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // few hundred connections -> pause even at MTU 4096.
     out.push(StressReport {
         rule: "collie/4",
-        counter: diag::RECV_WQE_CACHE_MISS,
+        counter: diag::Slot::RECV_WQE_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Read),
             gate(bidirectional_for(w, Transport::Rc, Opcode::Read)),
@@ -228,7 +232,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // messages -> pause.
     out.push(StressReport {
         rule: "collie/5",
-        counter: diag::RECV_WQE_CACHE_MISS,
+        counter: diag::Slot::RECV_WQE_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Send),
             at_most(f.mtu as f64, 1024.0),
@@ -244,7 +248,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // small messages, a few connections -> throughput drop, no pause.
     out.push(StressReport {
         rule: "collie/6",
-        counter: diag::RECV_WQE_CACHE_MISS,
+        counter: diag::Slot::RECV_WQE_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Send),
             at_most(f.mtu as f64, 1024.0),
@@ -261,7 +265,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // hundreds of QPs -> QP-context thrash, throughput drop.
     out.push(StressReport {
         rule: "collie/7",
-        counter: diag::QP_CONTEXT_CACHE_MISS,
+        counter: diag::Slot::QP_CONTEXT_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Write),
             at_most(f.wqe_batch as f64, 2.0),
@@ -276,7 +280,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // translation-cache thrash, throughput drop.
     out.push(StressReport {
         rule: "collie/8",
-        counter: diag::MTT_CACHE_MISS,
+        counter: diag::Slot::MTT_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Write),
             at_most(f.wqe_batch as f64, 2.0),
@@ -290,7 +294,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // elements, on a host whose RNIC is not a relaxed-ordering PCIe device.
     out.push(StressReport {
         rule: "collie/9",
-        counter: diag::PCIE_ORDERING_STALL,
+        counter: diag::Slot::PCIE_ORDERING_STALL,
         stress: stress_of(&[
             gate(w.is_bidirectional()),
             gate(!ctx.receiver_host.pcie_settings.relaxed_ordering),
@@ -305,7 +309,7 @@ fn mellanox_cx6_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // processing component saturates and pause frames follow.
     out.push(StressReport {
         rule: "collie/10",
-        counter: diag::PACKET_PROCESSING_SATURATION,
+        counter: diag::Slot::PACKET_PROCESSING_SATURATION,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Write),
             gate(bidirectional_for(w, Transport::Rc, Opcode::Write)),
@@ -336,7 +340,7 @@ fn host_topology_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // servers whose I/O die forwards inbound PCIe writes poorly.
     out.push(StressReport {
         rule: "collie/11",
-        counter: diag::PCIE_BACKPRESSURE,
+        counter: diag::Slot::PCIE_BACKPRESSURE,
         stress: stress_of(&[
             gate(w.is_bidirectional()),
             gate(ctx.receiver_host.cpu.chiplets_per_socket > 1),
@@ -350,7 +354,7 @@ fn host_topology_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // placement).
     out.push(StressReport {
         rule: "collie/12",
-        counter: diag::PCIE_BACKPRESSURE,
+        counter: diag::Slot::PCIE_BACKPRESSURE,
         stress: stress_of(&[
             gate(f.src_memory.is_gpu() || f.dst_memory.is_gpu()),
             gate(
@@ -370,7 +374,7 @@ fn host_topology_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
         .any(|other| !other.direction.is_loopback() && other.direction.receiver_host() == receiver);
     out.push(StressReport {
         rule: "collie/13",
-        counter: diag::INTERNAL_INCAST,
+        counter: diag::Slot::INTERNAL_INCAST,
         stress: stress_of(&[
             gate(f.direction.is_loopback()),
             gate(remote_rx),
@@ -396,7 +400,7 @@ fn broadcom_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // MTU -> throughput drop without pause frames.
     out.push(StressReport {
         rule: "collie/14",
-        counter: diag::QP_CONTEXT_CACHE_MISS,
+        counter: diag::Slot::QP_CONTEXT_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc),
             gate(w.is_bidirectional()),
@@ -410,7 +414,7 @@ fn broadcom_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // Anomaly #15: UD SEND with a long WQ and tens of connections -> pause.
     out.push(StressReport {
         rule: "collie/15",
-        counter: diag::RECV_WQE_CACHE_MISS,
+        counter: diag::Slot::RECV_WQE_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Ud && f.opcode == Opcode::Send),
             at_least(f.recv_queue_depth as f64, 64.0),
@@ -423,7 +427,7 @@ fn broadcom_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // pause.
     out.push(StressReport {
         rule: "collie/16",
-        counter: diag::PACKET_PROCESSING_SATURATION,
+        counter: diag::Slot::PACKET_PROCESSING_SATURATION,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Read),
             at_most(f.mtu as f64, 1024.0),
@@ -437,7 +441,7 @@ fn broadcom_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // connections -> pause (fixed by the vendor register setting).
     out.push(StressReport {
         rule: "collie/17",
-        counter: diag::RECV_WQE_CACHE_MISS,
+        counter: diag::Slot::RECV_WQE_CACHE_MISS,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Send),
             gate(!ctx.spec.vendor_register_fix),
@@ -454,7 +458,7 @@ fn broadcom_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     // register setting).
     out.push(StressReport {
         rule: "collie/18",
-        counter: diag::PACKET_PROCESSING_SATURATION,
+        counter: diag::Slot::PACKET_PROCESSING_SATURATION,
         stress: stress_of(&[
             gate(f.transport == Transport::Rc && f.opcode == Opcode::Write),
             gate(bidirectional_for(w, Transport::Rc, Opcode::Write)),
@@ -736,13 +740,46 @@ mod tests {
     }
 
     #[test]
+    fn max_reports_per_flow_bounds_every_subsystem() {
+        let flow = FlowSpec::basic(Direction::AToB);
+        let w = WorkloadSpec::single(flow.clone());
+        let counts: Vec<usize> = crate::subsystems::SubsystemId::ALL
+            .iter()
+            .map(|id| {
+                let sys = id.build();
+                reports_for(&flow, &w, &sys.rnic, &sys.host_a, &sys.host_b).len()
+            })
+            .collect();
+        assert_eq!(
+            counts.iter().max(),
+            Some(&MAX_REPORTS_PER_FLOW),
+            "{counts:?}"
+        );
+    }
+
+    #[test]
+    fn reports_serialize_their_counter_by_name() {
+        let (spec, a, b) = cx6_ctx_parts();
+        let flow = FlowSpec::basic(Direction::AToB);
+        let w = WorkloadSpec::single(flow.clone());
+        for report in reports_for(&flow, &w, &spec, &a, &b) {
+            let value = report.to_value();
+            assert_eq!(
+                value.get("counter").and_then(serde::Value::as_str),
+                Some(report.counter.name())
+            );
+            assert_eq!(StressReport::from_value(&value), Ok(report));
+        }
+    }
+
+    #[test]
     fn every_report_has_sane_fields() {
         let (spec, a, b) = cx6_ctx_parts();
         let flow = FlowSpec::basic(Direction::AToB);
         let w = WorkloadSpec::single(flow.clone());
         for r in reports_for(&flow, &w, &spec, &a, &b) {
             assert!((0.0..=1.2).contains(&r.stress), "{}: {}", r.rule, r.stress);
-            assert!(diag::ALL.contains(&r.counter));
+            assert!(diag::ALL.contains(&r.counter.name()));
             match r.effect {
                 Effect::ReceiverPause { severity } => assert!((0.0..=1.0).contains(&severity)),
                 Effect::SenderThrottle { factor } => assert!((0.0..1.0).contains(&factor)),

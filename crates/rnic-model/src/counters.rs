@@ -11,13 +11,31 @@
 use collie_sim::counters::{CounterKind, CounterSchema, CounterSnapshot};
 use std::sync::Arc;
 
-/// Position of `name` in `all`. Names that come from the constants below
-/// compare by pointer before falling back to a byte compare.
+/// Position of `name` in `all`.
 fn position(all: &[&str], name: &str) -> Option<usize> {
-    all.iter().position(|candidate| {
-        (std::ptr::eq(candidate.as_ptr(), name.as_ptr()) && candidate.len() == name.len())
-            || *candidate == name
-    })
+    all.iter().position(|candidate| *candidate == name)
+}
+
+/// Position of `name` in `all`, worked out by the compiler: every slot
+/// constant below is computed from its counter's name, so slot and name
+/// cannot drift apart, and a name missing from `all` fails the build.
+const fn slot_of(all: &[&str], name: &str) -> usize {
+    let wanted = name.as_bytes();
+    let mut slot = 0;
+    while slot < all.len() {
+        let candidate = all[slot].as_bytes();
+        if candidate.len() == wanted.len() {
+            let mut byte = 0;
+            while byte < wanted.len() && candidate[byte] == wanted[byte] {
+                byte += 1;
+            }
+            if byte == wanted.len() {
+                return slot;
+            }
+        }
+        slot += 1;
+    }
+    panic!("counter name missing from its ALL list");
 }
 
 /// Performance-counter names.
@@ -42,6 +60,37 @@ pub mod perf {
     /// Position of a performance counter name in [`ALL`].
     pub(crate) fn index_of(name: &str) -> Option<usize> {
         super::position(&ALL, name)
+    }
+
+    /// A performance counter named by its position in [`ALL`], which is
+    /// also its slot in the counter schema: the flow model publishes
+    /// through it without looking a name up.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Slot(usize);
+
+    impl Slot {
+        /// [`TX_BYTES_PER_SEC`]'s slot.
+        pub const TX_BYTES_PER_SEC: Slot = Slot::of(TX_BYTES_PER_SEC);
+        /// [`RX_BYTES_PER_SEC`]'s slot.
+        pub const RX_BYTES_PER_SEC: Slot = Slot::of(RX_BYTES_PER_SEC);
+        /// [`TX_PACKETS_PER_SEC`]'s slot.
+        pub const TX_PACKETS_PER_SEC: Slot = Slot::of(TX_PACKETS_PER_SEC);
+        /// [`RX_PACKETS_PER_SEC`]'s slot.
+        pub const RX_PACKETS_PER_SEC: Slot = Slot::of(RX_PACKETS_PER_SEC);
+
+        const fn of(name: &str) -> Slot {
+            Slot(super::slot_of(&ALL, name))
+        }
+
+        /// Position in [`ALL`].
+        pub const fn index(self) -> usize {
+            self.0
+        }
+
+        /// The counter's name.
+        pub const fn name(self) -> &'static str {
+            ALL[self.0]
+        }
     }
 }
 
@@ -80,10 +129,73 @@ pub mod diag {
         INTERNAL_INCAST,
     ];
 
-    /// Position of a diagnostic counter name in [`ALL`], used to accumulate
-    /// per-counter values in a plain array during evaluation.
+    /// Position of a diagnostic counter name in [`ALL`].
     pub fn index_of(name: &str) -> Option<usize> {
         super::position(&ALL, name)
+    }
+
+    /// A diagnostic counter named by its position in [`ALL`]: what a
+    /// bottleneck rule's stress feeds. The flow model accumulates stress
+    /// and publishes through it without looking a name up. It serializes
+    /// as the counter's name.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Slot(usize);
+
+    impl Slot {
+        /// [`RECV_WQE_CACHE_MISS`]'s slot.
+        pub const RECV_WQE_CACHE_MISS: Slot = Slot::of(RECV_WQE_CACHE_MISS);
+        /// [`QP_CONTEXT_CACHE_MISS`]'s slot.
+        pub const QP_CONTEXT_CACHE_MISS: Slot = Slot::of(QP_CONTEXT_CACHE_MISS);
+        /// [`MTT_CACHE_MISS`]'s slot.
+        pub const MTT_CACHE_MISS: Slot = Slot::of(MTT_CACHE_MISS);
+        /// [`PCIE_BACKPRESSURE`]'s slot.
+        pub const PCIE_BACKPRESSURE: Slot = Slot::of(PCIE_BACKPRESSURE);
+        /// [`RX_BUFFER_OCCUPANCY`]'s slot.
+        pub const RX_BUFFER_OCCUPANCY: Slot = Slot::of(RX_BUFFER_OCCUPANCY);
+        /// [`TX_WQE_FETCH_STALL`]'s slot.
+        pub const TX_WQE_FETCH_STALL: Slot = Slot::of(TX_WQE_FETCH_STALL);
+        /// [`PACKET_PROCESSING_SATURATION`]'s slot.
+        pub const PACKET_PROCESSING_SATURATION: Slot = Slot::of(PACKET_PROCESSING_SATURATION);
+        /// [`PCIE_ORDERING_STALL`]'s slot.
+        pub const PCIE_ORDERING_STALL: Slot = Slot::of(PCIE_ORDERING_STALL);
+        /// [`INTERNAL_INCAST`]'s slot.
+        pub const INTERNAL_INCAST: Slot = Slot::of(INTERNAL_INCAST);
+
+        const fn of(name: &str) -> Slot {
+            Slot(super::slot_of(&ALL, name))
+        }
+
+        /// Every slot, in [`ALL`] order.
+        pub fn all() -> impl Iterator<Item = Slot> {
+            (0..ALL.len()).map(Slot)
+        }
+
+        /// Position in [`ALL`].
+        pub const fn index(self) -> usize {
+            self.0
+        }
+
+        /// The counter's name.
+        pub const fn name(self) -> &'static str {
+            ALL[self.0]
+        }
+    }
+
+    impl serde::Serialize for Slot {
+        fn to_value(&self) -> serde::Value {
+            serde::Value::String(self.name().to_string())
+        }
+    }
+
+    impl serde::Deserialize for Slot {
+        fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+            let name = value
+                .as_str()
+                .ok_or_else(|| serde::Error::type_mismatch("diag::Slot", "string", value))?;
+            index_of(name)
+                .map(Slot)
+                .ok_or_else(|| serde::Error::custom(format!("unknown diagnostic counter {name:?}")))
+        }
     }
 }
 
@@ -186,6 +298,11 @@ impl RnicCounters {
         }
     }
 
+    /// Set a performance counter by slot.
+    pub fn set_perf_at(&mut self, slot: perf::Slot, value: f64) {
+        self.set(slot.index(), value);
+    }
+
     /// Set a diagnostic counter by name (no-op for unknown names).
     pub fn set_diag(&mut self, name: &str, value: f64) {
         if let Some(index) = diag::index_of(name) {
@@ -197,9 +314,18 @@ impl RnicCounters {
     /// unknown names).
     pub fn add_diag(&mut self, name: &str, delta: f64) {
         if let Some(index) = diag::index_of(name) {
-            let value = &mut self.live.values_mut()[DIAG_BASE + index];
-            *value = (*value + delta).max(0.0);
+            self.add(DIAG_BASE + index, delta);
         }
+    }
+
+    /// Add to a diagnostic counter by slot, clamped at zero.
+    pub fn add_diag_at(&mut self, slot: diag::Slot, delta: f64) {
+        self.add(DIAG_BASE + slot.index(), delta);
+    }
+
+    fn add(&mut self, slot: usize, delta: f64) {
+        let value = &mut self.live.values_mut()[slot];
+        *value = (*value + delta).max(0.0);
     }
 
     /// Zero every counter (between experiments).
@@ -241,6 +367,51 @@ mod tests {
         assert_eq!(snap.value(perf::TX_BYTES_PER_SEC), Some(1e9));
         assert_eq!(snap.value(diag::RECV_WQE_CACHE_MISS), Some(8.0));
         assert_eq!(snap.iter().filter(|(_, _, v)| *v != 0.0).count(), 2);
+    }
+
+    #[test]
+    fn slots_name_their_counters() {
+        assert_eq!(perf::Slot::TX_BYTES_PER_SEC.index(), 0);
+        assert_eq!(
+            perf::Slot::RX_PACKETS_PER_SEC.name(),
+            perf::RX_PACKETS_PER_SEC
+        );
+        assert_eq!(diag::Slot::INTERNAL_INCAST.name(), diag::INTERNAL_INCAST);
+        let names: Vec<&str> = diag::Slot::all().map(diag::Slot::name).collect();
+        assert_eq!(names, diag::ALL);
+    }
+
+    #[test]
+    fn slot_writes_match_name_writes() {
+        let mut by_name = RnicCounters::new();
+        let mut by_slot = RnicCounters::new();
+        by_name.set_perf(perf::TX_PACKETS_PER_SEC, 3.0);
+        by_slot.set_perf_at(perf::Slot::TX_PACKETS_PER_SEC, 3.0);
+        for (step, slot) in diag::Slot::all().enumerate() {
+            let delta = step as f64 - 2.0;
+            by_name.add_diag(slot.name(), delta);
+            by_name.add_diag(slot.name(), 1.5);
+            by_slot.add_diag_at(slot, delta);
+            by_slot.add_diag_at(slot, 1.5);
+        }
+        assert_eq!(by_name.snapshot(), by_slot.snapshot());
+        assert_eq!(
+            by_slot.snapshot().value(diag::RECV_WQE_CACHE_MISS),
+            Some(1.5)
+        );
+    }
+
+    #[test]
+    fn diag_slots_serialize_as_their_names() {
+        use serde::{Deserialize, Serialize};
+        let value = diag::Slot::MTT_CACHE_MISS.to_value();
+        assert_eq!(value.as_str(), Some(diag::MTT_CACHE_MISS));
+        assert_eq!(
+            diag::Slot::from_value(&value),
+            Ok(diag::Slot::MTT_CACHE_MISS)
+        );
+        assert!(diag::Slot::from_value(&serde::Value::String("nope".into())).is_err());
+        assert!(diag::Slot::from_value(&serde::Value::Number(2.0)).is_err());
     }
 
     #[test]

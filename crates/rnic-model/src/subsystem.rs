@@ -193,10 +193,10 @@ impl Subsystem {
         // triggered effects, per flow, into the report buffer. Every flow
         // gets one report per applicable rule, so flow `i`'s reports are
         // the buffer's `i`-th chunk (stage 2 relies on it). Per-counter
-        // stress maxima accumulate in a plain array indexed by `diag::ALL`
-        // position; distinct counters receive independent adds in stage 5,
-        // so the array order is value-identical to the sorted map it
-        // replaced.
+        // stress maxima accumulate in a plain array indexed by each
+        // report's diagnostic slot; distinct counters receive independent
+        // adds in stage 5, so the array order is value-identical to the
+        // sorted map it replaced.
         let hosts = [&self.host_a, &self.host_b];
         let reports = &mut self.reports.0;
         let mut diag_stress = [0.0_f64; diag::ALL.len()];
@@ -212,9 +212,8 @@ impl Subsystem {
             evaluate_rules(&ctx, reports);
             debug_assert_eq!(reports.len(), (position + 1) * (reports.len() - start));
             for report in &reports[start..] {
-                if let Some(index) = diag::index_of(report.counter) {
-                    diag_stress[index] = diag_stress[index].max(report.stress);
-                }
+                let stress = &mut diag_stress[report.counter.index()];
+                *stress = stress.max(report.stress);
             }
         }
 
@@ -271,7 +270,7 @@ impl Subsystem {
                 let scale = capacity.bits_per_sec() / rx_demand;
                 let backpressure = 1.0 - scale;
                 self.counters
-                    .add_diag(diag::PCIE_BACKPRESSURE, backpressure * DIAG_SCALE);
+                    .add_diag_at(diag::Slot::PCIE_BACKPRESSURE, backpressure * DIAG_SCALE);
                 for o in outcomes
                     .iter_mut()
                     .filter(|o| o.direction.receiver_host() == host_idx)
@@ -311,24 +310,24 @@ impl Subsystem {
         self.switch.record_pause(0, pause_ratio[0]);
         self.switch.record_pause(1, pause_ratio[1]);
 
-        // --- Stage 5 — publish counters: generic diagnostics, rule
+        // --- Stage 5 — publish counters by slot: generic diagnostics, rule
         // stress, then the performance gauges (the order the adds
         // accumulate in is part of the bit-identity contract); a zero
         // stress maximum adds nothing, so unreported counters are skipped.
         self.publish_generic_diagnostics(workload, &metrics, pause_ratio);
         let counters = &mut self.counters;
-        for (index, name) in diag::ALL.iter().enumerate() {
-            let stress = diag_stress[index];
+        for slot in diag::Slot::all() {
+            let stress = diag_stress[slot.index()];
             if stress > 0.0 {
-                counters.add_diag(name, stress * DIAG_SCALE);
+                counters.add_diag_at(slot, stress * DIAG_SCALE);
             }
         }
         let total_bps: f64 = metrics.iter().map(|m| m.throughput.bits_per_sec()).sum();
         let total_pps: f64 = metrics.iter().map(|m| m.packet_rate.pps()).sum();
-        counters.set_perf(perf::TX_BYTES_PER_SEC, total_bps / 8.0);
-        counters.set_perf(perf::RX_BYTES_PER_SEC, total_bps / 8.0);
-        counters.set_perf(perf::TX_PACKETS_PER_SEC, total_pps);
-        counters.set_perf(perf::RX_PACKETS_PER_SEC, total_pps);
+        counters.set_perf_at(perf::Slot::TX_BYTES_PER_SEC, total_bps / 8.0);
+        counters.set_perf_at(perf::Slot::RX_BYTES_PER_SEC, total_bps / 8.0);
+        counters.set_perf_at(perf::Slot::TX_PACKETS_PER_SEC, total_pps);
+        counters.set_perf_at(perf::Slot::RX_PACKETS_PER_SEC, total_pps);
 
         Measurement {
             directions: metrics,
@@ -451,11 +450,11 @@ impl Subsystem {
 
         // Connection-context pressure.
         let qpc = miss_rate(workload.total_qps() as f64, spec.qpc_cache_entries as f64);
-        counters.add_diag(diag::QP_CONTEXT_CACHE_MISS, qpc * DIAG_SCALE * 0.5);
+        counters.add_diag_at(diag::Slot::QP_CONTEXT_CACHE_MISS, qpc * DIAG_SCALE * 0.5);
 
         // Translation-table pressure.
         let mtt = miss_rate(workload.total_mrs() as f64, spec.mtt_cache_entries as f64);
-        counters.add_diag(diag::MTT_CACHE_MISS, mtt * DIAG_SCALE * 0.5);
+        counters.add_diag_at(diag::Slot::MTT_CACHE_MISS, mtt * DIAG_SCALE * 0.5);
 
         // Receive-descriptor pressure from two-sided flows.
         let recv_ws: f64 = workload
@@ -465,12 +464,15 @@ impl Subsystem {
             .map(|f| f.num_qps as f64 * f.recv_queue_depth as f64)
             .sum();
         let rwqe = miss_rate(recv_ws, spec.recv_wqe_cache_entries as f64);
-        counters.add_diag(diag::RECV_WQE_CACHE_MISS, rwqe * DIAG_SCALE * 0.5);
+        counters.add_diag_at(diag::Slot::RECV_WQE_CACHE_MISS, rwqe * DIAG_SCALE * 0.5);
 
         // Packet-processing utilisation.
         let total_pps: f64 = metrics.iter().map(|m| m.packet_rate.pps()).sum();
         let util = (total_pps / spec.max_packet_rate.pps().max(1.0)).clamp(0.0, 1.0);
-        counters.add_diag(diag::PACKET_PROCESSING_SATURATION, util * DIAG_SCALE * 0.3);
+        counters.add_diag_at(
+            diag::Slot::PACKET_PROCESSING_SATURATION,
+            util * DIAG_SCALE * 0.3,
+        );
 
         // Transmit WQE fetch pressure: control bytes relative to payload.
         let wqe_fraction: f64 = workload
@@ -482,11 +484,14 @@ impl Subsystem {
             })
             .sum::<f64>()
             / workload.flows.len() as f64;
-        counters.add_diag(diag::TX_WQE_FETCH_STALL, wqe_fraction * DIAG_SCALE * 0.3);
+        counters.add_diag_at(
+            diag::Slot::TX_WQE_FETCH_STALL,
+            wqe_fraction * DIAG_SCALE * 0.3,
+        );
 
         // Receive-buffer occupancy mirrors the pause pressure.
         let worst_pause = pause_ratio[0].max(pause_ratio[1]);
-        counters.add_diag(diag::RX_BUFFER_OCCUPANCY, worst_pause * DIAG_SCALE);
+        counters.add_diag_at(diag::Slot::RX_BUFFER_OCCUPANCY, worst_pause * DIAG_SCALE);
     }
 }
 
