@@ -29,7 +29,7 @@ use crate::space::SearchPoint;
 use collie_rnic::bottleneck::{evaluate_rules, FlowContext};
 use collie_rnic::subsystem::{Measurement, Subsystem};
 use collie_rnic::subsystems::SubsystemId;
-use collie_rnic::workload::{Direction, FlowSpec, MessagePattern, WorkloadSpec};
+use collie_rnic::workload::{Direction, FlowSpec, WorkloadSpec};
 use collie_sim::time::SimDuration;
 use collie_sim::units::ByteSize;
 use collie_verbs::{
@@ -74,12 +74,18 @@ pub trait Engine {
 #[derive(Debug, Clone)]
 pub struct WorkloadEngine {
     subsystem: Subsystem,
+    /// The last measured point's workload: [`WorkloadEngine::measure`]
+    /// overwrites it in place, so a measurement reuses its buffers.
+    workload: WorkloadSpec,
 }
 
 impl WorkloadEngine {
     /// An engine driving `subsystem`.
     pub fn new(subsystem: Subsystem) -> Self {
-        WorkloadEngine { subsystem }
+        WorkloadEngine {
+            subsystem,
+            workload: WorkloadSpec::default(),
+        }
     }
 
     /// An engine driving one of the Table-1 subsystems.
@@ -115,55 +121,21 @@ impl WorkloadEngine {
     /// scenario (a worker and a server scheduled on the same machine while
     /// remote workers keep sending to the server).
     pub fn translate(&self, point: &SearchPoint) -> WorkloadSpec {
-        let template = FlowSpec {
-            direction: Direction::AToB,
-            transport: point.transport,
-            opcode: point.opcode,
-            num_qps: point.num_qps,
-            mtu: point.mtu,
-            wqe_batch: point.wqe_batch,
-            sge_per_wqe: point.sge_per_wqe,
-            send_queue_depth: point.send_queue_depth,
-            recv_queue_depth: point.recv_queue_depth,
-            mrs_per_qp: point.mrs_per_qp,
-            mr_size: ByteSize::from_bytes(point.mr_size_bytes),
-            messages: MessagePattern::new(point.messages.clone()),
-            src_memory: point.src_memory,
-            dst_memory: point.dst_memory,
-        };
-
-        let mut flows = Vec::new();
-        let primary_direction = if point.with_loopback && !point.bidirectional {
-            Direction::BToA
-        } else {
-            Direction::AToB
-        };
-        let mut primary = template.clone();
-        primary.direction = primary_direction;
-        flows.push(primary);
-
-        if point.bidirectional {
-            let mut reverse = template.clone();
-            reverse.direction = Direction::BToA;
-            flows.push(reverse);
-        }
-        if point.with_loopback {
-            let mut loopback = template.clone();
-            loopback.direction = Direction::LoopbackA;
-            flows.push(loopback);
-        }
-        WorkloadSpec { flows }
+        let mut workload = WorkloadSpec::default();
+        translate_into(point, &mut workload);
+        workload
     }
 
     /// Run one experiment for the point and return the measurement.
     ///
     /// **Determinism contract** (see [`Engine`]): for a fixed subsystem
-    /// configuration this is a pure function of `point` —
-    /// `Subsystem::evaluate` resets all counter and switch state and clears
-    /// its report scratch on entry.
+    /// configuration this is a pure function of `point` — the point's
+    /// translation overwrites every flow of the engine's workload buffer,
+    /// and `Subsystem::evaluate` resets all counter and switch state and
+    /// clears its report scratch on entry.
     pub fn measure(&mut self, point: &SearchPoint) -> Measurement {
-        let workload = self.translate(point);
-        self.subsystem.evaluate(&workload)
+        translate_into(point, &mut self.workload);
+        self.subsystem.evaluate(&self.workload)
     }
 
     /// How long this experiment would take on real hardware. The paper
@@ -332,6 +304,74 @@ impl WorkloadEngine {
     }
 }
 
+/// [`WorkloadEngine::translate`] into `workload`, overwriting it in place:
+/// its flow `Vec` is reused and truncated to the point's flows, and every
+/// kept flow's message pattern is refilled rather than reallocated.
+fn translate_into(point: &SearchPoint, workload: &mut WorkloadSpec) {
+    let primary = if point.with_loopback && !point.bidirectional {
+        Direction::BToA
+    } else {
+        Direction::AToB
+    };
+    let directions = [
+        Some(primary),
+        point.bidirectional.then_some(Direction::BToA),
+        point.with_loopback.then_some(Direction::LoopbackA),
+    ];
+    let flows = &mut workload.flows;
+    let mut len = 0;
+    for direction in directions.into_iter().flatten() {
+        if len == flows.len() {
+            // A new flow starts as a copy of the one just written, whose
+            // message buffer already holds the point's sizes.
+            let seed = flows
+                .last()
+                .cloned()
+                .unwrap_or_else(|| FlowSpec::basic(direction));
+            flows.push(seed);
+        }
+        write_flow(&mut flows[len], point, direction);
+        len += 1;
+    }
+    flows.truncate(len);
+}
+
+/// Overwrite every field of `flow` with `point`'s settings in `direction`.
+/// The pattern names every field, so a field added to [`FlowSpec`] fails
+/// to compile here instead of keeping an earlier point's value.
+fn write_flow(flow: &mut FlowSpec, point: &SearchPoint, direction: Direction) {
+    let FlowSpec {
+        direction: flow_direction,
+        transport,
+        opcode,
+        num_qps,
+        mtu,
+        wqe_batch,
+        sge_per_wqe,
+        send_queue_depth,
+        recv_queue_depth,
+        mrs_per_qp,
+        mr_size,
+        messages,
+        src_memory,
+        dst_memory,
+    } = flow;
+    *flow_direction = direction;
+    *transport = point.transport;
+    *opcode = point.opcode;
+    *num_qps = point.num_qps;
+    *mtu = point.mtu;
+    *wqe_batch = point.wqe_batch;
+    *sge_per_wqe = point.sge_per_wqe;
+    *send_queue_depth = point.send_queue_depth;
+    *recv_queue_depth = point.recv_queue_depth;
+    *mrs_per_qp = point.mrs_per_qp;
+    *mr_size = ByteSize::from_bytes(point.mr_size_bytes);
+    messages.refill(&point.messages);
+    *src_memory = point.src_memory;
+    *dst_memory = point.dst_memory;
+}
+
 impl Engine for WorkloadEngine {
     type Point = SearchPoint;
     type Measurement = Measurement;
@@ -434,6 +474,28 @@ mod tests {
         assert_eq!(clone.measure(&p), expected);
         let _ = clone.measure(&SearchPoint::benign());
         assert_eq!(e.measure(&p), expected);
+    }
+
+    #[test]
+    fn the_reused_workload_buffer_leaks_no_flow_or_message_size() {
+        // Three flows with three sizes, then one flow with one size, then
+        // an empty pattern, which translates to one 1-byte request.
+        let mut wide = SearchPoint::benign();
+        wide.bidirectional = true;
+        wide.with_loopback = true;
+        wide.messages = vec![128, 64 * 1024, 1024];
+        let mut narrow = SearchPoint::benign();
+        narrow.messages = vec![4096];
+        let mut empty = SearchPoint::benign();
+        empty.messages = Vec::new();
+
+        let mut e = engine();
+        for point in [&wide, &narrow, &empty] {
+            assert_eq!(e.measure(point), engine().measure(point));
+            assert_eq!(e.workload, e.translate(point));
+        }
+        assert_eq!(e.workload.flows.len(), 1);
+        assert_eq!(e.workload.flows[0].messages.sizes(), &[1]);
     }
 
     #[test]

@@ -157,6 +157,18 @@ impl MessagePattern {
         }
     }
 
+    /// Overwrite the pattern with `sizes`, reusing its buffer. As in
+    /// [`MessagePattern::new`], an empty `sizes` becomes a single 1-byte
+    /// request.
+    pub fn refill(&mut self, sizes: &[u64]) {
+        self.sizes.clear();
+        if sizes.is_empty() {
+            self.sizes.push(1);
+        } else {
+            self.sizes.extend_from_slice(sizes);
+        }
+    }
+
     /// The request sizes, in order.
     pub fn sizes(&self) -> &[u64] {
         &self.sizes
@@ -418,6 +430,17 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert_eq!(p.sizes(), &[1]);
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn refill_matches_new_and_leaves_no_stale_size() {
+        let mut p = MessagePattern::new(vec![128, 65536, 1024]);
+        p.refill(&[4096]);
+        assert_eq!(p, MessagePattern::new(vec![4096]));
+        p.refill(&[]);
+        assert_eq!(p, MessagePattern::new(vec![]));
+        p.refill(&[64, 8192]);
+        assert_eq!(p.sizes(), &[64, 8192]);
     }
 
     #[test]
