@@ -26,7 +26,7 @@
 
 use crate::monitor::{AnomalyMonitor, AnomalyVerdict};
 use crate::space::SearchPoint;
-use collie_rnic::bottleneck::{evaluate_rules, FlowContext};
+use collie_rnic::bottleneck::{evaluate_rules, FlowContext, MAX_REPORTS_PER_FLOW};
 use collie_rnic::subsystem::{Measurement, Subsystem};
 use collie_rnic::subsystems::SubsystemId;
 use collie_rnic::workload::{Direction, FlowSpec, WorkloadSpec};
@@ -158,7 +158,7 @@ impl WorkloadEngine {
     pub fn ground_truth(&self, point: &SearchPoint) -> Vec<&'static str> {
         let workload = self.translate(point);
         let mut triggered = Vec::new();
-        let mut reports = Vec::new();
+        let mut reports = Vec::with_capacity(MAX_REPORTS_PER_FLOW);
         for flow in &workload.flows {
             let sender_host = self.subsystem.host(flow.direction.sender_host());
             let receiver_host = self.subsystem.host(flow.direction.receiver_host());
