@@ -202,7 +202,8 @@ impl<'c, D: SearchDomain> CampaignLoop<'c, D> {
     fn record_rule_hits(&mut self, point: &D::Point) {
         let at = self.elapsed;
         for rule in self.domain.ground_truth(point) {
-            if self.hit_rules.insert(rule.to_string()) {
+            if !self.hit_rules.contains(rule) {
+                self.hit_rules.insert(rule.to_string());
                 self.rule_hits.push(RuleHit {
                     at,
                     rule: rule.to_string(),
