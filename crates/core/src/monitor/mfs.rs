@@ -127,7 +127,7 @@ pub struct ReproductionSignature {
 /// diagnostic counter is non-zero.
 pub(crate) fn dominant_diag_counter(
     measurement: &collie_rnic::subsystem::Measurement,
-) -> Option<String> {
+) -> Option<&str> {
     measurement
         .counters
         .iter()
@@ -135,7 +135,7 @@ pub(crate) fn dominant_diag_counter(
             *kind == collie_sim::counters::CounterKind::Diagnostic && *value > 0.0
         })
         .max_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(name, _, _)| name.to_string())
+        .map(|(name, _, _)| name)
 }
 
 #[cfg(test)]
@@ -282,14 +282,14 @@ mod tests {
         let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
         let measurement = engine.measure(&anomaly_1_point());
         assert_eq!(
-            super::dominant_diag_counter(&measurement).as_deref(),
+            super::dominant_diag_counter(&measurement),
             Some(collie_rnic::counters::diag::RECV_WQE_CACHE_MISS)
         );
         // A benign workload keeps diagnostic counters near zero; whatever
         // the dominant one is, the anomaly-1 signature differs from it.
         let benign = engine.measure(&SearchPoint::benign());
         assert_ne!(
-            super::dominant_diag_counter(&benign).as_deref(),
+            super::dominant_diag_counter(&benign),
             Some(collie_rnic::counters::diag::RECV_WQE_CACHE_MISS)
         );
     }

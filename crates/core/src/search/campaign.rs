@@ -379,7 +379,7 @@ impl SearchDomain for WorkloadDomain<'_, '_> {
         let reference = self.evaluator.measure(anomalous);
         ReproductionSignature {
             symptom: *identity,
-            dominant_counter: dominant_diag_counter(&reference),
+            dominant_counter: dominant_diag_counter(&reference).map(str::to_owned),
         }
     }
 
@@ -398,7 +398,7 @@ impl SearchDomain for WorkloadDomain<'_, '_> {
             return false;
         }
         match &signature.dominant_counter {
-            Some(reference) => dominant_diag_counter(&measurement).as_deref() == Some(reference),
+            Some(reference) => dominant_diag_counter(&measurement) == Some(reference.as_str()),
             None => true,
         }
     }
