@@ -11,15 +11,9 @@
 use collie_sim::counters::{CounterKind, CounterSchema, CounterSnapshot};
 use std::sync::Arc;
 
-/// Position of `name` in `all`.
-fn position(all: &[&str], name: &str) -> Option<usize> {
-    all.iter().position(|candidate| *candidate == name)
-}
-
-/// Position of `name` in `all`, worked out by the compiler: every slot
-/// constant below is computed from its counter's name, so slot and name
-/// cannot drift apart, and a name missing from `all` fails the build.
-const fn slot_of(all: &[&str], name: &str) -> usize {
+/// Position of `name` in `all`, by byte compare. A `const fn`, so the
+/// compiler can work out the slot constants below.
+const fn position(all: &[&str], name: &str) -> Option<usize> {
     let wanted = name.as_bytes();
     let mut slot = 0;
     while slot < all.len() {
@@ -30,12 +24,22 @@ const fn slot_of(all: &[&str], name: &str) -> usize {
                 byte += 1;
             }
             if byte == wanted.len() {
-                return slot;
+                return Some(slot);
             }
         }
         slot += 1;
     }
-    panic!("counter name missing from its ALL list");
+    None
+}
+
+/// Position of `name` in `all`, worked out by the compiler: every slot
+/// constant below is computed from its counter's name, so slot and name
+/// cannot drift apart, and a name missing from `all` fails the build.
+const fn slot_of(all: &[&str], name: &str) -> usize {
+    match position(all, name) {
+        Some(slot) => slot,
+        None => panic!("counter name missing from its ALL list"),
+    }
 }
 
 /// Performance-counter names.
@@ -85,11 +89,6 @@ pub mod perf {
         /// Position in [`ALL`].
         pub const fn index(self) -> usize {
             self.0
-        }
-
-        /// The counter's name.
-        pub const fn name(self) -> &'static str {
-            ALL[self.0]
         }
     }
 }
@@ -373,7 +372,7 @@ mod tests {
     fn slots_name_their_counters() {
         assert_eq!(perf::Slot::TX_BYTES_PER_SEC.index(), 0);
         assert_eq!(
-            perf::Slot::RX_PACKETS_PER_SEC.name(),
+            perf::ALL[perf::Slot::RX_PACKETS_PER_SEC.index()],
             perf::RX_PACKETS_PER_SEC
         );
         assert_eq!(diag::Slot::INTERNAL_INCAST.name(), diag::INTERNAL_INCAST);
