@@ -11,8 +11,8 @@
 #![forbid(unsafe_code)]
 
 use collie_bench::{
-    bench_report, default_workers, fmt_minutes, parse_flags_or_exit, run_campaign_matrix_report,
-    text_table, CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
+    default_workers, fmt_minutes, no_args_or_exit, run_campaign_matrix, text_table, CampaignSpec,
+    DEFAULT_SEEDS,
 };
 use collie_core::catalog::KnownAnomaly;
 use collie_core::report::{time_to_find_rows, to_json};
@@ -21,7 +21,7 @@ use collie_rnic::subsystems::SubsystemId;
 use std::time::Instant;
 
 fn main() {
-    let json = parse_flags_or_exit("fig4", &["--json"]).contains(&"--json");
+    no_args_or_exit("fig4");
     let subsystem = SubsystemId::F;
     let max_anomalies = KnownAnomaly::for_subsystem(subsystem).len();
     let configs = [
@@ -39,14 +39,9 @@ fn main() {
         })
         .collect();
     let started = Instant::now();
-    let report = run_campaign_matrix_report(&cells, &MatrixOptions::new(default_workers()));
+    let mut matrix = run_campaign_matrix(&cells, default_workers()).into_iter();
     let wall = started.elapsed();
-    let bench = bench_report("fig4", "full", &cells, &report);
 
-    let mut matrix = report
-        .cells
-        .into_iter()
-        .map(|cell| (cell.outcome, cell.stats));
     let mut all_rows = Vec::new();
     let mut table_rows = Vec::new();
     for (label, _) in &configs {
@@ -108,12 +103,4 @@ fn main() {
         )
     );
     println!("JSON:\n{}", to_json(&all_rows));
-    // --json: the machine-readable per-cell perf block (same schema as the
-    // bench bin's BENCH_fig4.json): cache hit-rate and wall-clock per cell.
-    if json {
-        println!(
-            "BENCH JSON:\n{}",
-            serde_json::to_string_pretty(&bench).unwrap_or_else(|_| "{}".to_string())
-        );
-    }
 }

@@ -9,14 +9,14 @@
 //! extracting the MFS).
 #![forbid(unsafe_code)]
 
-use collie_bench::{parse_flags_or_exit, run_seeded_campaigns, text_table};
+use collie_bench::{no_args_or_exit, run_seeded_campaigns, text_table};
 use collie_core::report::{to_json, TraceSeries};
 use collie_core::search::SearchConfig;
 use collie_rnic::subsystems::SubsystemId;
 use collie_sim::time::SimDuration;
 
 fn main() {
-    parse_flags_or_exit("fig6", &[]);
+    no_args_or_exit("fig6");
     let subsystem = SubsystemId::F;
     // The paper's Figure 6 covers the first ~150 minutes of the search.
     let budget = SimDuration::from_secs(150 * 60);

@@ -10,8 +10,8 @@
 #![forbid(unsafe_code)]
 
 use collie_bench::{
-    bench_report, default_workers, fmt_minutes, parse_flags_or_exit,
-    run_fabric_campaign_matrix_report, text_table, CampaignSpec, MatrixOptions, DEFAULT_SEEDS,
+    default_workers, fmt_minutes, no_args_or_exit, run_fabric_campaign_matrix, text_table,
+    CampaignSpec, DEFAULT_SEEDS,
 };
 use collie_core::report::{to_json, FabricGridRow};
 use collie_core::search::SearchConfig;
@@ -19,7 +19,7 @@ use collie_rnic::subsystems::SubsystemId;
 use std::time::Instant;
 
 fn main() {
-    let json = parse_flags_or_exit("fig7", &["--json"]).contains(&"--json");
+    no_args_or_exit("fig7");
     let subsystem = SubsystemId::F;
     let configs = [
         ("Random", SearchConfig::random(0)),
@@ -36,14 +36,8 @@ fn main() {
         })
         .collect();
     let started = Instant::now();
-    let report = run_fabric_campaign_matrix_report(&cells, &MatrixOptions::new(default_workers()));
+    let matrix = run_fabric_campaign_matrix(&cells, default_workers());
     let wall = started.elapsed();
-    let bench = bench_report("fig7", "full", &cells, &report);
-    let matrix: Vec<_> = report
-        .cells
-        .into_iter()
-        .map(|cell| (cell.outcome, cell.stats))
-        .collect();
 
     let mut rows = Vec::new();
     let mut table_rows = Vec::new();
@@ -89,12 +83,4 @@ fn main() {
         )
     );
     println!("JSON:\n{}", to_json(&rows));
-    // --json: the machine-readable per-cell perf block (same schema as the
-    // bench bin's BENCH_fig7.json): cache hit-rate and wall-clock per cell.
-    if json {
-        println!(
-            "BENCH JSON:\n{}",
-            serde_json::to_string_pretty(&bench).unwrap_or_else(|_| "{}".to_string())
-        );
-    }
 }

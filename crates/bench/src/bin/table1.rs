@@ -7,14 +7,14 @@
 //! anomalies need the specific triggers of Table 2).
 #![forbid(unsafe_code)]
 
-use collie_bench::{parse_flags_or_exit, text_table};
+use collie_bench::{no_args_or_exit, text_table};
 use collie_core::engine::WorkloadEngine;
 use collie_core::monitor::AnomalyMonitor;
 use collie_core::space::SearchPoint;
 use collie_rnic::subsystems::SubsystemId;
 
 fn main() {
-    parse_flags_or_exit("table1", &[]);
+    no_args_or_exit("table1");
     let monitor = AnomalyMonitor::new();
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();

@@ -15,7 +15,7 @@
 //! evaluator.
 #![forbid(unsafe_code)]
 
-use collie_bench::{default_workers, parallel_map, parse_flags_or_exit, text_table};
+use collie_bench::{default_workers, no_args_or_exit, parallel_map, text_table};
 use collie_core::catalog::KnownAnomaly;
 use collie_core::engine::WorkloadEngine;
 use collie_core::eval::Evaluator;
@@ -93,7 +93,7 @@ fn replay(anomaly: &KnownAnomaly) -> Table2Row {
 }
 
 fn main() {
-    parse_flags_or_exit("table2", &[]);
+    no_args_or_exit("table2");
     println!(
         "Search space size (nominal bounds of §4/§5): ~1e{:.0} points\n",
         SearchSpace::for_host(&collie_rnic::subsystems::SubsystemId::F.host())

@@ -13,10 +13,6 @@
 //! pool ([`run_campaign_matrix`]) instead of sweeping it serially.
 #![forbid(unsafe_code)]
 
-pub mod report;
-
-pub use report::{latency_summary, validate_bench_report, BenchCache, BenchCell, BenchReport};
-
 use collie_core::engine::{Engine, WorkloadEngine};
 use collie_core::eval::{EvalStats, Evaluator};
 use collie_core::fabric::{run_fabric_search_on, FabricEngine, FabricOutcome};
@@ -152,8 +148,8 @@ impl MatrixOptions {
     }
 }
 
-/// One finished matrix cell: the campaign outcome plus everything the perf
-/// harness reports about how it ran.
+/// One finished matrix cell: the campaign outcome, its memo-cache counters
+/// and how long it took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell<O> {
     /// The campaign outcome (independent of the pool width).
@@ -162,9 +158,6 @@ pub struct MatrixCell<O> {
     pub stats: EvalStats,
     /// Real wall-clock the cell took, in seconds.
     pub wall_secs: f64,
-    /// One wall-clock latency (ns) per engine compute on the cell's commit
-    /// thread.
-    pub compute_nanos: Vec<u64>,
 }
 
 /// A finished campaign matrix: the cells in matrix order and, when
@@ -238,14 +231,13 @@ fn matrix_report<E: Engine, S, O: Send>(
         let started = Instant::now();
         let mut evaluator = Evaluator::new(&mut engine);
         let outcome = run(&mut evaluator, &space, &cell.config);
-        let profile = evaluator.profile();
+        let stats = evaluator.stats();
         // The cell's wall-clock covers building and freeing its memo cache.
         drop(evaluator);
         MatrixCell {
             outcome,
-            stats: profile.stats,
+            stats,
             wall_secs: started.elapsed().as_secs_f64(),
-            compute_nanos: profile.compute_nanos,
         }
     });
     let qualification = options.qualify.then(|| {
@@ -332,34 +324,6 @@ pub fn run_fabric_campaign_matrix(
         .collect()
 }
 
-/// Assemble the machine-readable [`BenchReport`] for a finished matrix:
-/// one [`BenchCell`] per grid cell, labelled from the cell's configuration.
-/// The schema every `BENCH_<name>.json` file and every fig bin's `--json`
-/// block share.
-pub fn bench_report<O>(
-    name: &str,
-    mode: &str,
-    cells: &[CampaignSpec],
-    report: &MatrixReport<O>,
-) -> BenchReport {
-    BenchReport {
-        name: name.to_string(),
-        mode: mode.to_string(),
-        cells: cells
-            .iter()
-            .zip(&report.cells)
-            .map(|(spec, cell)| cell.bench_cell(&spec.config.label(), spec.config.seed))
-            .collect(),
-    }
-}
-
-impl<O> MatrixCell<O> {
-    /// This cell's row of a [`BenchReport`].
-    pub fn bench_cell(&self, label: &str, seed: u64) -> BenchCell {
-        BenchCell::new(label, seed, self.wall_secs, self.stats, &self.compute_nanos)
-    }
-}
-
 /// Run the same campaign configuration once per seed on a fresh copy of the
 /// subsystem, in parallel (a one-configuration row of the campaign matrix).
 pub fn run_seeded_campaigns(
@@ -377,39 +341,22 @@ pub fn run_seeded_campaigns(
         .collect()
 }
 
-/// Check an evaluation bin's arguments (program name excluded) against the
-/// flags it accepts: `Ok` holds the flags given, `Err` names the first
-/// argument that is not one of them.
-pub fn parse_flags(
-    args: &[String],
-    accepted: &[&'static str],
-) -> Result<Vec<&'static str>, String> {
-    args.iter()
-        .map(|arg| {
-            accepted
-                .iter()
-                .find(|flag| *flag == arg)
-                .copied()
-                .ok_or_else(|| format!("unknown argument {arg}"))
-        })
-        .collect()
+/// The usage error of an evaluation bin given `args` (program name
+/// excluded): the bins take no arguments, so the first one is the error.
+fn usage_error(bin: &str, args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter()
+        .next()
+        .map(|arg| format!("{bin}: unknown argument {arg}\nusage: {bin}"))
 }
 
-/// The usage line of an evaluation bin that accepts `accepted`.
-fn usage(bin: &str, accepted: &[&str]) -> String {
-    let flags: String = accepted.iter().map(|flag| format!(" [{flag}]")).collect();
-    format!("usage: {bin}{flags}")
-}
-
-/// [`parse_flags`] over the process arguments. On a usage error, print it
-/// with the usage line to stderr and exit 2 — before the bin runs anything,
-/// so a typo such as `--jsn` cannot silently drop the output it asked for.
-pub fn parse_flags_or_exit(bin: &str, accepted: &[&'static str]) -> Vec<&'static str> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_flags(&args, accepted).unwrap_or_else(|message| {
-        eprintln!("{bin}: {message}\n{}", usage(bin, accepted));
+/// Reject any process argument: print the usage error to stderr and exit 2
+/// before the bin runs anything, so a flag the bin does not have cannot be
+/// silently ignored.
+pub fn no_args_or_exit(bin: &str) {
+    if let Some(message) = usage_error(bin, std::env::args().skip(1)) {
+        eprintln!("{message}");
         std::process::exit(2)
-    })
+    }
 }
 
 /// Render rows of `(label, cells)` as an aligned text table. Rows may carry
@@ -559,18 +506,17 @@ mod tests {
     #[test]
     fn bin_flags_accept_only_what_the_bin_declares() {
         let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_flags(&args(&[]), &["--json"]), Ok(vec![]));
+        assert_eq!(usage_error("fig4", args(&[])), None);
+        // The bins declare no flags, so every argument is rejected,
+        // `--json` included, and the message names the first one.
         assert_eq!(
-            parse_flags(&args(&["--json"]), &["--json"]),
-            Ok(vec!["--json"])
+            usage_error("fig4", args(&["--json"])).as_deref(),
+            Some("fig4: unknown argument --json\nusage: fig4")
         );
-        // A typo is an error, not a silently ignored flag.
-        let error = parse_flags(&args(&["--json", "--jsn"]), &["--json"]).unwrap_err();
-        assert!(error.contains("--jsn"), "{error}");
-        // Bins without flags reject everything, `--json` included.
-        assert!(parse_flags(&args(&["--json"]), &[]).is_err());
-        assert_eq!(usage("fig4", &["--json"]), "usage: fig4 [--json]");
-        assert_eq!(usage("table1", &[]), "usage: table1");
+        assert_eq!(
+            usage_error("table1", args(&["--jsn", "--json"])).as_deref(),
+            Some("table1: unknown argument --jsn\nusage: table1")
+        );
     }
 
     #[test]

@@ -31,8 +31,6 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
-// collie-lint: allow(wall-clock, reason = "EvalProfile records real compute latency; it never feeds a campaign decision")
-use std::time::Instant;
 
 /// Cache effectiveness counters of one [`Evaluator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -204,20 +202,6 @@ pub struct SharedUse {
     pub served: u64,
 }
 
-/// Everything one campaign's evaluator can report about its execution:
-/// the bit-identical cache stats and the wall-clock of every flow-model
-/// compute (nanoseconds, in compute order) for throughput/latency
-/// summaries.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EvalProfile {
-    /// Local-cache hit/miss counters (the bit-identity stats).
-    pub stats: EvalStats,
-    /// Wall-clock nanoseconds of each flow-model compute this evaluator
-    /// ran itself. Nanoseconds, not microseconds: a call takes 1–7 µs, so
-    /// whole-microsecond samples would truncate to a handful of integers.
-    pub compute_nanos: Vec<u64>,
-}
-
 /// A matrix-scoped evaluation context: one bundle of [`SharedCache`]s that
 /// a caller attaches to several campaigns' evaluators, so identical
 /// canonical points measured by different strategy×seed cells are computed
@@ -375,19 +359,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Run one flow-model compute and record its wall-clock latency.
-fn timed_measure<E: Engine>(
-    engine: &mut E,
-    nanos: &mut Vec<u64>,
-    point: &E::Point,
-) -> E::Measurement {
-    // collie-lint: allow(wall-clock, reason = "perf-harness latency sample; the measurement itself is deterministic")
-    let started = Instant::now();
-    let measurement = engine.measure(point);
-    nanos.push(started.elapsed().as_nanos() as u64);
-    measurement
-}
-
 /// A memoizing wrapper around one [`Engine`]: the one evaluator every
 /// domain measures through (the two-host [`WorkloadEngine`] by default,
 /// [`FabricEvaluator`](crate::fabric::FabricEvaluator) for the fabric).
@@ -410,7 +381,6 @@ pub struct Evaluator<'e, E: Engine = WorkloadEngine> {
     memoize: bool,
     stats: EvalStats,
     shared_use: SharedUse,
-    compute_nanos: Vec<u64>,
 }
 
 impl<'e, E: Engine> Evaluator<'e, E> {
@@ -423,7 +393,6 @@ impl<'e, E: Engine> Evaluator<'e, E> {
             memoize: true,
             stats: EvalStats::default(),
             shared_use: SharedUse::default(),
-            compute_nanos: Vec::new(),
         }
     }
 
@@ -454,7 +423,7 @@ impl<'e, E: Engine> Evaluator<'e, E> {
     pub fn measure(&mut self, point: &E::Point) -> E::Measurement {
         if !self.memoize {
             self.stats.misses += 1;
-            return timed_measure(self.engine, &mut self.compute_nanos, point);
+            return self.engine.measure(point);
         }
         // One lookup: a miss hashes the point once, for the probe and the
         // insert together.
@@ -467,13 +436,12 @@ impl<'e, E: Engine> Evaluator<'e, E> {
         };
         self.stats.misses += 1;
         let engine = &mut *self.engine;
-        let nanos = &mut self.compute_nanos;
         let measurement = match &self.shared {
             Some(shared) => {
                 let mut computed_here = false;
                 let measurement = shared.get_or_compute(point, || {
                     computed_here = true;
-                    timed_measure(engine, nanos, point)
+                    engine.measure(point)
                 });
                 if computed_here {
                     self.shared_use.computed += 1;
@@ -482,7 +450,7 @@ impl<'e, E: Engine> Evaluator<'e, E> {
                 }
                 measurement
             }
-            None => Arc::new(timed_measure(engine, nanos, point)),
+            None => Arc::new(engine.measure(point)),
         };
         (**slot.insert(measurement)).clone()
     }
@@ -538,14 +506,6 @@ impl<'e, E: Engine> Evaluator<'e, E> {
         self.shared_use
     }
 
-    /// The full execution profile: stats and per-compute wall-clock.
-    pub fn profile(&self) -> EvalProfile {
-        EvalProfile {
-            stats: self.stats,
-            compute_nanos: self.compute_nanos.clone(),
-        }
-    }
-
     /// Number of distinct points held in the cache.
     pub fn cached_points(&self) -> usize {
         self.cache.len()
@@ -562,8 +522,8 @@ pub(crate) mod tests {
     // parts and run for both engines. `fresh` builds an independent
     // engine; `point` and `other` are distinct points.
 
-    /// Repeats hit the cache and agree, and the one compute records
-    /// exactly one latency sample.
+    /// Repeats hit the cache and agree: one miss fills the cache, and the
+    /// repeat is a hit.
     pub(crate) fn assert_repeats_hit_the_cache<E: Engine>(fresh: impl Fn() -> E, point: &E::Point)
     where
         E::Measurement: PartialEq + fmt::Debug,
@@ -574,11 +534,10 @@ pub(crate) mod tests {
         assert_eq!(evaluator.measure(point), first);
         assert_eq!(evaluator.stats(), EvalStats { hits: 1, misses: 1 });
         assert_eq!(evaluator.cached_points(), 1);
-        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
     }
 
-    /// The uncached path never hits and records one latency sample per
-    /// compute.
+    /// The uncached path never hits and caches nothing: every measurement
+    /// is a miss.
     pub(crate) fn assert_uncached_never_hits<E: Engine>(fresh: impl Fn() -> E, point: &E::Point)
     where
         E::Measurement: PartialEq + fmt::Debug,
@@ -589,7 +548,6 @@ pub(crate) mod tests {
         assert_eq!(uncached.measure(point), first);
         assert_eq!(uncached.stats(), EvalStats { hits: 0, misses: 2 });
         assert_eq!(uncached.cached_points(), 0);
-        assert_eq!(uncached.profile().compute_nanos.len(), 2);
     }
 
     /// The §6 procedure samples four times per iteration: one compute,
@@ -607,14 +565,13 @@ pub(crate) mod tests {
         let (sampled, verdict) = evaluator.measure_and_assess(&monitor, point);
         assert_eq!(sampled, fresh().measure(point));
         assert_eq!(evaluator.stats(), EvalStats { hits: 3, misses: 1 });
-        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
         verdict
     }
 
     /// A local miss served by another evaluator's publication still counts
-    /// as a plain miss (bit-identity) and logs no latency, because no flow
-    /// model ran here; a new point is computed through the shared cache.
-    /// An uncached evaluator ignores the attachment.
+    /// as a plain miss (bit-identity), and [`SharedUse`] records the serve;
+    /// a new point is computed through the shared cache. An uncached
+    /// evaluator ignores the attachment.
     pub(crate) fn assert_shared_use_is_accounted_apart<E: Engine>(
         fresh: impl Fn() -> E,
         point: &E::Point,
@@ -635,20 +592,17 @@ pub(crate) mod tests {
             served: 1,
         };
         assert_eq!(evaluator.shared_use(), served);
-        assert!(evaluator.profile().compute_nanos.is_empty());
         let _ = evaluator.measure(other);
         let computed = SharedUse {
             computed: 1,
             served: 1,
         };
         assert_eq!(evaluator.shared_use(), computed);
-        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
         let mut engine = fresh();
         let mut uncached = Evaluator::uncached(&mut engine);
         uncached.attach_shared(Arc::clone(&shared));
         let _ = uncached.measure(point);
         assert_eq!(uncached.shared_use(), SharedUse::default());
-        assert_eq!(uncached.profile().compute_nanos.len(), 1);
         let untouched = CacheTotals {
             computed: 2,
             served: 1,
@@ -851,8 +805,7 @@ pub(crate) mod tests {
         let mut evaluator = Evaluator::new(&mut engine);
         evaluator.attach_shared(Arc::clone(&shared));
         // Local miss served by the shared publication: stats still record a
-        // plain miss (bit-identity), SharedUse records the serve, and no
-        // compute latency is logged because no flow model ran here.
+        // plain miss (bit-identity), and SharedUse records the serve.
         let got = evaluator.measure(&p);
         assert_eq!(got, reference.measure(&p));
         assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 1 });
@@ -863,7 +816,6 @@ pub(crate) mod tests {
                 served: 1
             }
         );
-        assert!(evaluator.profile().compute_nanos.is_empty());
         // A genuinely new point is computed through the shared cache.
         let _ = evaluator.measure(&SearchPoint::benign());
         assert_eq!(
@@ -873,22 +825,6 @@ pub(crate) mod tests {
                 served: 1
             }
         );
-        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
-    }
-
-    #[test]
-    fn profile_records_one_latency_per_compute() {
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut evaluator = Evaluator::new(&mut engine);
-        let p = anomalous_point();
-        let _ = evaluator.measure(&p);
-        let _ = evaluator.measure(&p);
-        assert_eq!(evaluator.profile().compute_nanos.len(), 1);
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let mut uncached = Evaluator::uncached(&mut engine);
-        let _ = uncached.measure(&p);
-        let _ = uncached.measure(&p);
-        assert_eq!(uncached.profile().compute_nanos.len(), 2);
     }
 
     #[test]

@@ -214,9 +214,9 @@ pub fn run_search(
 }
 
 /// Run one search campaign with every measurement going through
-/// `evaluator`, so its [`Evaluator::profile`] afterwards holds the cache
-/// statistics and per-compute latencies the perf harnesses report (the
-/// outcome itself is independent of the cache).
+/// `evaluator`, so its [`Evaluator::stats`] afterwards holds the
+/// campaign's memo-cache hits and misses (the outcome itself is
+/// independent of the cache).
 pub fn run_search_on(
     evaluator: &mut Evaluator,
     space: &SearchSpace,

@@ -8,9 +8,8 @@
 //! Exit status: `0` clean, `1` violations found, `2` usage or internal
 //! error. The default root is the workspace this binary was built from,
 //! so `cargo run --bin collie-lint` from anywhere inside the repo lints
-//! the repo. `--json` prints the machine-readable report (the same
-//! serde-validated idiom as `BENCH_*.json`); `--out` additionally writes
-//! it to a file for CI to archive.
+//! the repo. `--json` prints the machine-readable, serde-validated
+//! report; `--out` additionally writes it to a file for CI to archive.
 
 #![forbid(unsafe_code)]
 

@@ -25,7 +25,7 @@
 //! walking `crates/`, `src/`, `tests/` and `examples/` (which naturally
 //! excludes `vendor/` and `target/`). The `collie-lint` bin renders the
 //! result as a text table or as the serde-validated JSON report CI
-//! archives, in the same idiom as the bench harness's `BENCH_*.json`.
+//! archives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,6 @@
 //! Machine-readable lint reports (`LINT.json`).
 //!
-//! Same idiom as the bench harness's `BENCH_<name>.json`: a serde-derived
-//! schema with an explicit `schema_version`, a first-violation
+//! A serde-derived schema with an explicit `schema_version`, a first-violation
 //! [`validate_lint_report`] gate CI runs before trusting the file, and a
 //! JSON round-trip pinned by test. The text rendering ([`render_text`]) is
 //! what a developer sees locally; the JSON is what CI archives.

@@ -45,9 +45,9 @@ fn the_head_scan_exercises_the_interesting_paths() {
         "only {} files scanned",
         report.files_scanned
     );
-    // The annotated wall-clock and counter-name sites are actually being
-    // suppressed (if this drops to 0 the annotations stopped matching and
-    // the clean run above is vacuous).
+    // The annotated counter-name sites are actually being suppressed (if
+    // this drops to 0 the annotations stopped matching and the clean run
+    // above is vacuous).
     assert!(
         report.suppressed >= 10,
         "only {} suppressions took effect",

@@ -17,9 +17,13 @@
 //!   generic `run_bayesian` driver on the fabric domain. Together with
 //!   `golden_fig7.json` it covers the 3-strategy × 3-seed grid the `fig7`
 //!   binary reports.
+//! * `golden_eval_stats.json` — the memo-cache hits and misses of every
+//!   cell of those grids (30 cells), the counts behind the hit rates
+//!   `fig4` and `fig7` print.
 //!
-//! Every fixture pins the current code. A mismatch means an RNG stream or
-//! a discovery outcome moved — intentional changes must re-record with:
+//! Every fixture pins the current code. A mismatch means an RNG stream, a
+//! discovery outcome or a memo-cache count moved — intentional changes
+//! must re-record with:
 //!
 //! ```text
 //! GOLDEN_RECORD=1 cargo test --release -q golden
@@ -34,7 +38,7 @@ use collie_bench::{
     parallel_map, run_campaign_matrix, run_fabric_campaign_matrix, CampaignSpec, DEFAULT_SEEDS,
 };
 use collie_core::engine::WorkloadEngine;
-use collie_core::eval::Evaluator;
+use collie_core::eval::{EvalStats, Evaluator};
 use collie_core::fabric::{run_fabric_search_on, FabricEngine, FabricEvaluator, FabricOutcome};
 use collie_core::search::{run_search_on, SearchConfig, SearchOutcome, SignalMode};
 use collie_core::space::{FabricSpace, SearchSpace};
@@ -140,6 +144,29 @@ impl GoldenCell {
     }
 }
 
+/// One campaign cell's memo-cache counters.
+#[derive(Debug, Serialize)]
+struct GoldenEvalStats {
+    /// The figure whose grid the cell belongs to.
+    grid: &'static str,
+    label: String,
+    seed: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl GoldenEvalStats {
+    fn new(grid: &'static str, cell: &CampaignSpec, stats: EvalStats) -> GoldenEvalStats {
+        GoldenEvalStats {
+            grid,
+            label: cell.config.label(),
+            seed: cell.config.seed,
+            hits: stats.hits,
+            misses: stats.misses,
+        }
+    }
+}
+
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -148,7 +175,7 @@ fn fixture_path(name: &str) -> PathBuf {
 
 /// Serialize, then either record (GOLDEN_RECORD=1) or diff against the
 /// committed fixture, reporting the first differing line on mismatch.
-fn record_or_compare(name: &str, cells: &[GoldenCell]) {
+fn record_or_compare<T: Serialize>(name: &str, cells: &[T]) {
     let rendered = serde_json::to_string_pretty(cells).expect("golden cells serialize");
     let path = fixture_path(name);
     if std::env::var("GOLDEN_RECORD")
@@ -174,7 +201,8 @@ fn record_or_compare(name: &str, cells: &[GoldenCell]) {
         if got != want {
             panic!(
                 "{name} diverged from the golden trace at line {}:\n  recorded: {want}\n  current:  {got}\n\
-                 (an RNG stream or discovery outcome moved; see tests/golden_traces.rs)",
+                 (an RNG stream, a discovery outcome or a memo-cache count moved; \
+                 see tests/golden_traces.rs)",
                 line_no + 1
             );
         }
@@ -295,6 +323,30 @@ fn golden_fig7_bayesian_fabric_cells_are_pinned() {
     // Together with `golden_fig7.json` it covers the full 3-strategy ×
     // 3-seed fig7 grid.
     record_or_compare("golden_fig7_bo.json", &run_fabric_grid(&fig7_bo_cells()));
+}
+
+#[test]
+fn golden_eval_stats_are_pinned() {
+    // Every cell of the fig4, fig5 and fig7 grids, through the same matrix
+    // runners as the bins: the evaluator's hits and misses per cell.
+    let mut golden = Vec::new();
+    for (grid, cells) in [("fig4", fig4_cells()), ("fig5", fig5_cells())] {
+        let matrix = run_campaign_matrix(&cells, 2);
+        golden.extend(
+            cells
+                .iter()
+                .zip(matrix)
+                .map(|(cell, (_, stats))| GoldenEvalStats::new(grid, cell, stats)),
+        );
+    }
+    let fig7: Vec<CampaignSpec> = fig7_cells().into_iter().chain(fig7_bo_cells()).collect();
+    let matrix = run_fabric_campaign_matrix(&fig7, 2);
+    golden.extend(
+        fig7.iter()
+            .zip(matrix)
+            .map(|(cell, (_, stats))| GoldenEvalStats::new("fig7", cell, stats)),
+    );
+    record_or_compare("golden_eval_stats.json", &golden);
 }
 
 /// Replay a two-host grid cell by cell through the uncached reference
