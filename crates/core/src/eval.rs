@@ -20,7 +20,7 @@
 //! for the next one.
 
 use crate::engine::{Engine, WorkloadEngine};
-use crate::monitor::AnomalyMonitor;
+use crate::monitor::{AnomalyMonitor, SAMPLES_PER_ITERATION};
 use crate::space::{FabricPoint, SearchPoint};
 use collie_rnic::fabric::FabricMeasurement;
 use collie_rnic::subsystem::{Measurement, Subsystem};
@@ -456,18 +456,17 @@ impl<'e, E: Engine> Evaluator<'e, E> {
     }
 
     /// The paper's §6 measurement procedure through the cache: sample the
-    /// experiment `samples_per_iteration` times (repeats are cache hits)
-    /// and assess the final sample. The engine is deterministic, so every
-    /// sample is identical and no averaging is needed — the repeats exist
-    /// for procedural fidelity, exactly as
-    /// [`AnomalyMonitor::measure_and_assess`] documents; a future noisy
-    /// engine would have to add real averaging here.
+    /// experiment four times (repeats are cache hits) and assess the final
+    /// sample. The engine is deterministic, so every sample is identical and
+    /// no averaging is needed — the repeats exist for procedural fidelity,
+    /// exactly as [`AnomalyMonitor::measure_and_assess`] documents; a future
+    /// noisy engine would have to add real averaging here.
     pub fn measure_and_assess(
         &mut self,
         monitor: &AnomalyMonitor,
         point: &E::Point,
     ) -> (E::Measurement, E::Verdict) {
-        let samples = monitor.samples_per_iteration.max(1);
+        let samples = SAMPLES_PER_ITERATION;
         let measurement = self.measure(point);
         if self.memoize {
             // Repeats of an identical deterministic sample are guaranteed
@@ -505,11 +504,6 @@ impl<'e, E: Engine> Evaluator<'e, E> {
     pub fn shared_use(&self) -> SharedUse {
         self.shared_use
     }
-
-    /// Number of distinct points held in the cache.
-    pub fn cached_points(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 #[cfg(test)]
@@ -533,7 +527,7 @@ pub(crate) mod tests {
         let first = evaluator.measure(point);
         assert_eq!(evaluator.measure(point), first);
         assert_eq!(evaluator.stats(), EvalStats { hits: 1, misses: 1 });
-        assert_eq!(evaluator.cached_points(), 1);
+        assert_eq!(evaluator.cache.len(), 1);
     }
 
     /// The uncached path never hits and caches nothing: every measurement
@@ -547,7 +541,7 @@ pub(crate) mod tests {
         let first = uncached.measure(point);
         assert_eq!(uncached.measure(point), first);
         assert_eq!(uncached.stats(), EvalStats { hits: 0, misses: 2 });
-        assert_eq!(uncached.cached_points(), 0);
+        assert_eq!(uncached.cache.len(), 0);
     }
 
     /// The §6 procedure samples four times per iteration: one compute,
@@ -645,7 +639,7 @@ pub(crate) mod tests {
         let second = evaluator.measure(&p);
         assert_eq!(first, second);
         assert_eq!(evaluator.stats(), EvalStats { hits: 1, misses: 1 });
-        assert_eq!(evaluator.cached_points(), 1);
+        assert_eq!(evaluator.cache.len(), 1);
     }
 
     #[test]
@@ -669,7 +663,7 @@ pub(crate) mod tests {
         let b = evaluator.measure(&p);
         assert_eq!(a, b);
         assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 2 });
-        assert_eq!(evaluator.cached_points(), 0);
+        assert_eq!(evaluator.cache.len(), 0);
     }
 
     #[test]
@@ -681,7 +675,7 @@ pub(crate) mod tests {
         p.num_qps *= 2;
         evaluator.measure(&p);
         assert_eq!(evaluator.stats(), EvalStats { hits: 0, misses: 2 });
-        assert_eq!(evaluator.cached_points(), 2);
+        assert_eq!(evaluator.cache.len(), 2);
     }
 
     #[test]
@@ -708,10 +702,10 @@ pub(crate) mod tests {
         let threads = 8u64;
         let keys = 64u64;
         let repeats = 5u64;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..threads {
                 let cache = Arc::clone(&cache);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for r in 0..repeats {
                         for k in 0..keys {
                             // Visit order differs per thread and per pass.
@@ -722,8 +716,7 @@ pub(crate) mod tests {
                     }
                 });
             }
-        })
-        .expect("threads ok");
+        });
         let total = threads * repeats * keys;
         assert_eq!(
             cache.totals(),

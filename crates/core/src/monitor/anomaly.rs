@@ -38,7 +38,7 @@ impl fmt::Display for Symptom {
     }
 }
 
-/// Detection thresholds (defaults follow §5.2).
+/// Detection thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AnomalyThresholds {
     /// Pause-duration ratio above which pause frames count as an anomaly.
@@ -48,14 +48,14 @@ pub struct AnomalyThresholds {
     pub throughput_fraction: f64,
 }
 
-impl Default for AnomalyThresholds {
-    fn default() -> Self {
-        AnomalyThresholds {
-            pause_ratio: 0.001,
-            throughput_fraction: 0.8,
-        }
-    }
-}
+/// The §5.2 thresholds every monitor applies.
+const THRESHOLDS: AnomalyThresholds = AnomalyThresholds {
+    pause_ratio: 0.001,
+    throughput_fraction: 0.8,
+};
+
+/// Samples per iteration: the paper samples four times (§6).
+pub(crate) const SAMPLES_PER_ITERATION: u32 = 4;
 
 /// The verdict on one experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,39 +78,18 @@ impl AnomalyVerdict {
 }
 
 /// Applies the detection conditions to measurements.
-#[derive(Debug, Clone)]
-pub struct AnomalyMonitor {
-    thresholds: AnomalyThresholds,
-    /// Samples averaged per iteration (the paper samples four times).
-    pub samples_per_iteration: u32,
-}
-
-impl Default for AnomalyMonitor {
-    fn default() -> Self {
-        AnomalyMonitor::new()
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct AnomalyMonitor;
 
 impl AnomalyMonitor {
     /// A monitor with the paper's thresholds.
     pub fn new() -> Self {
-        AnomalyMonitor {
-            thresholds: AnomalyThresholds::default(),
-            samples_per_iteration: 4,
-        }
+        AnomalyMonitor
     }
 
-    /// A monitor with custom thresholds.
-    pub fn with_thresholds(thresholds: AnomalyThresholds) -> Self {
-        AnomalyMonitor {
-            thresholds,
-            samples_per_iteration: 4,
-        }
-    }
-
-    /// The configured thresholds.
+    /// The thresholds it applies: the paper's (§5.2).
     pub fn thresholds(&self) -> AnomalyThresholds {
-        self.thresholds
+        THRESHOLDS
     }
 
     /// Assess one measurement against the subsystem's specification.
@@ -131,10 +110,10 @@ impl AnomalyMonitor {
             worst_fraction = 0.0;
         }
 
-        let symptom = if pause_ratio > self.thresholds.pause_ratio {
+        let symptom = if pause_ratio > THRESHOLDS.pause_ratio {
             Some(Symptom::PauseStorm)
         } else if !measurement.directions.is_empty()
-            && worst_fraction < self.thresholds.throughput_fraction
+            && worst_fraction < THRESHOLDS.throughput_fraction
         {
             Some(Symptom::LowThroughput)
         } else {
@@ -148,10 +127,10 @@ impl AnomalyMonitor {
         }
     }
 
-    /// Run the paper's measurement procedure: sample the experiment
-    /// `samples_per_iteration` times and assess. (The simulator is
-    /// deterministic, so the repeats exist for procedural fidelity; a
-    /// monitor wrapping a noisy subsystem would average them.)
+    /// Run the paper's measurement procedure: sample the experiment four
+    /// times and assess. (The simulator is deterministic, so the repeats
+    /// exist for procedural fidelity; a monitor wrapping a noisy subsystem
+    /// would average them.)
     ///
     /// This is the convenience for one-off assessments; campaigns run the
     /// same procedure through their own memo cache via
@@ -243,18 +222,5 @@ mod tests {
         let verdict = monitor.assess(&empty, &spec);
         // No traffic directions: nothing to judge, nothing anomalous.
         assert!(!verdict.is_anomalous());
-    }
-
-    #[test]
-    fn custom_thresholds_are_respected() {
-        let strict = AnomalyMonitor::with_thresholds(AnomalyThresholds {
-            pause_ratio: 0.0,
-            throughput_fraction: 1.01,
-        });
-        let mut engine = WorkloadEngine::for_catalog(SubsystemId::F);
-        let (_, verdict) = strict.measure_and_assess(&mut engine, &SearchPoint::benign());
-        // With an impossible throughput requirement everything is anomalous.
-        assert!(verdict.is_anomalous());
-        assert_eq!(strict.thresholds().pause_ratio, 0.0);
     }
 }

@@ -12,4 +12,5 @@ mod mfs;
 pub use anomaly::{AnomalyMonitor, AnomalyThresholds, AnomalyVerdict, Symptom};
 pub use mfs::{FeatureCondition, Mfs, ReproductionSignature};
 
+pub(crate) use anomaly::SAMPLES_PER_ITERATION;
 pub(crate) use mfs::dominant_diag_counter;

@@ -52,8 +52,8 @@ use std::io;
 use std::path::Path;
 
 /// Format version of the on-disk [`RegressionCatalog`]. Bumped whenever the
-/// record schema changes incompatibly; [`RegressionCatalog::from_json`]
-/// rejects files written by a different version instead of misreading them.
+/// record schema changes incompatibly; [`RegressionCatalog::load`] rejects
+/// files written by a different version instead of misreading them.
 pub const REGRESSION_CATALOG_VERSION: u32 = 1;
 
 /// The outcome of re-measuring a trigger after one more mitigation was
@@ -165,7 +165,7 @@ pub fn trigger_identity(
 
 /// The anomaly ids named by a set of ground-truth rule labels
 /// (`"collie/9"` → 9), sorted and deduped.
-pub fn anomaly_ids_from_rules(rules: &[String]) -> Vec<u32> {
+fn anomaly_ids_from_rules(rules: &[String]) -> Vec<u32> {
     let mut ids: Vec<u32> = rules
         .iter()
         .filter_map(|rule| rule.strip_prefix("collie/"))
@@ -428,7 +428,7 @@ impl RegressionCatalog {
     /// Parse from JSON, rejecting version mismatches and records whose
     /// trigger is not a well-formed point of its subsystem's search space
     /// (replaying one would judge a workload that cannot exist).
-    pub fn from_json(text: &str) -> Result<RegressionCatalog, String> {
+    fn from_json(text: &str) -> Result<RegressionCatalog, String> {
         let catalog: RegressionCatalog =
             serde_json::from_str(text).map_err(|e| format!("malformed regression catalog: {e}"))?;
         if catalog.version != REGRESSION_CATALOG_VERSION {

@@ -306,7 +306,7 @@ impl<'c, D: SearchDomain> CampaignLoop<'c, D> {
 
     /// Number of discoveries so far (strategies use this to notice that the
     /// last measurement uncovered something new and restart their walk).
-    pub fn discovery_count(&self) -> usize {
+    fn discovery_count(&self) -> usize {
         self.discoveries.len()
     }
 

@@ -121,8 +121,8 @@ impl SearchSpace {
         next
     }
 
-    /// Mutate one specific feature (used by the MFS probing logic as well).
-    pub fn mutate_feature(&self, point: &mut SearchPoint, feature: Feature, rng: &mut SimRng) {
+    /// Mutate one specific feature.
+    fn mutate_feature(&self, point: &mut SearchPoint, feature: Feature, rng: &mut SimRng) {
         match feature {
             Feature::SrcMemory => point.src_memory = *rng.choose(&self.memory_targets),
             Feature::DstMemory => point.dst_memory = *rng.choose(&self.memory_targets),

@@ -10,21 +10,9 @@
 use collie_sim::units::BitRate;
 use serde::{Deserialize, Serialize};
 
-/// CPU vendor, which determines the interconnect characteristics that
-/// matter for the AMD-specific anomalies (#9, #11, #12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CpuVendor {
-    /// Intel Xeon parts (subsystems A–D, F, H in Table 1).
-    Intel,
-    /// AMD EPYC parts (subsystems E, G in Table 1).
-    Amd,
-}
-
 /// A CPU model: the host-side compute/memory complex of one server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CpuModel {
-    /// Vendor.
-    pub vendor: CpuVendor,
     /// Anonymised name as used in Table 1 ("Intel(R) Xeon(R) CPU 1", …).
     pub name: String,
     /// Number of CPU sockets in the server.
@@ -36,14 +24,6 @@ pub struct CpuModel {
     /// Usable bandwidth of the socket interconnect (UPI for Intel, xGMI for
     /// AMD) available to I/O traffic crossing sockets.
     pub cross_socket_bandwidth: BitRate,
-    /// Extra one-way latency added by crossing the socket interconnect, in
-    /// nanoseconds.
-    pub cross_socket_latency_ns: u64,
-    /// Extra latency added by crossing the intra-socket chiplet fabric, in
-    /// nanoseconds (0 for monolithic dies).
-    pub cross_chiplet_latency_ns: u64,
-    /// Local DRAM access latency seen by a DMA engine, in nanoseconds.
-    pub local_dram_latency_ns: u64,
     /// Aggregate DRAM bandwidth per socket available to I/O.
     pub dram_bandwidth_per_socket: BitRate,
     /// Efficiency factor (0..=1) applied to DMA streams that cross sockets
@@ -71,15 +51,11 @@ impl CpuModel {
     /// An Intel Xeon with a conventional two-socket UPI layout.
     pub fn intel_xeon(name: &str, sockets: u32) -> CpuModel {
         CpuModel {
-            vendor: CpuVendor::Intel,
             name: name.to_string(),
             sockets,
             numa_per_socket: 1,
             chiplets_per_socket: 1,
             cross_socket_bandwidth: BitRate::from_gbps(330.0),
-            cross_socket_latency_ns: 130,
-            cross_chiplet_latency_ns: 0,
-            local_dram_latency_ns: 90,
             dram_bandwidth_per_socket: BitRate::from_gbps(1100.0),
             cross_socket_dma_efficiency: 0.85,
         }
@@ -89,15 +65,11 @@ impl CpuModel {
     /// paper observed on its anomalous 200 Gbps platforms.
     pub fn amd_epyc(name: &str, numa_per_socket: u32) -> CpuModel {
         CpuModel {
-            vendor: CpuVendor::Amd,
             name: name.to_string(),
             sockets: 2,
             numa_per_socket,
             chiplets_per_socket: 4,
             cross_socket_bandwidth: BitRate::from_gbps(290.0),
-            cross_socket_latency_ns: 210,
-            cross_chiplet_latency_ns: 40,
-            local_dram_latency_ns: 105,
             dram_bandwidth_per_socket: BitRate::from_gbps(1400.0),
             // The particular servers behind Anomaly #11: bidirectional
             // cross-socket DMA collapses well below line rate.
@@ -141,13 +113,6 @@ mod tests {
         let intel = CpuModel::intel_xeon("Intel(R) Xeon(R) CPU 3", 2);
         let amd = CpuModel::amd_epyc("AMD EPYC CPU 1", 1);
         assert!(amd.cross_socket_dma_efficiency < intel.cross_socket_dma_efficiency);
-        assert!(amd.cross_socket_latency_ns > intel.cross_socket_latency_ns);
         assert!(amd.chiplets_per_socket > 1);
-    }
-
-    #[test]
-    fn vendors_are_as_expected() {
-        assert_eq!(CpuModel::intel_xeon("x", 2).vendor, CpuVendor::Intel);
-        assert_eq!(CpuModel::amd_epyc("y", 1).vendor, CpuVendor::Amd);
     }
 }

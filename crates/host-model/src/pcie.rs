@@ -27,19 +27,15 @@ pub enum PcieGen {
     Gen3,
     /// PCIe 4.0: 16 GT/s per lane, 128b/130b encoding.
     Gen4,
-    /// PCIe 5.0: 32 GT/s per lane (not used by Table 1 but supported for
-    /// forward-looking experiments).
-    Gen5,
 }
 
 impl PcieGen {
     /// Usable bandwidth of one lane in gigabytes per second, after link
     /// encoding but before TLP overhead.
-    pub fn lane_gbytes_per_sec(self) -> f64 {
+    fn lane_gbytes_per_sec(self) -> f64 {
         match self {
             PcieGen::Gen3 => 0.985,
             PcieGen::Gen4 => 1.969,
-            PcieGen::Gen5 => 3.938,
         }
     }
 
@@ -48,7 +44,6 @@ impl PcieGen {
         match self {
             PcieGen::Gen3 => "3.0",
             PcieGen::Gen4 => "4.0",
-            PcieGen::Gen5 => "5.0",
         }
     }
 }
@@ -122,9 +117,6 @@ pub struct PcieSettings {
     pub acs_redirect_p2p: bool,
     /// Negotiated maximum TLP payload size (typically 256 B or 512 B).
     pub max_payload_size: ByteSize,
-    /// Maximum read request size (typically 512 B – 4 KiB). Larger values
-    /// amortise header overhead on DMA reads.
-    pub max_read_request: ByteSize,
 }
 
 impl Default for PcieSettings {
@@ -133,7 +125,6 @@ impl Default for PcieSettings {
             relaxed_ordering: true,
             acs_redirect_p2p: false,
             max_payload_size: ByteSize::from_bytes(256),
-            max_read_request: ByteSize::from_bytes(4096),
         }
     }
 }
@@ -144,15 +135,6 @@ impl PcieSettings {
     pub fn strict_ordering() -> Self {
         PcieSettings {
             relaxed_ordering: false,
-            ..Default::default()
-        }
-    }
-
-    /// The misconfigured bridge of Anomaly #12: peer-to-peer traffic takes
-    /// the root-complex detour.
-    pub fn acs_misconfigured() -> Self {
-        PcieSettings {
-            acs_redirect_p2p: true,
             ..Default::default()
         }
     }
@@ -224,7 +206,6 @@ mod tests {
     #[test]
     fn preset_settings() {
         assert!(!PcieSettings::strict_ordering().relaxed_ordering);
-        assert!(PcieSettings::acs_misconfigured().acs_redirect_p2p);
         let d = PcieSettings::default();
         assert!(d.relaxed_ordering && !d.acs_redirect_p2p);
     }

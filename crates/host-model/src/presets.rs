@@ -7,7 +7,6 @@
 //! CPU 1", "AMD EPYC CPU 1").
 
 use crate::cpu::CpuModel;
-use crate::ddio::DdioModel;
 use crate::memory::{GpuDevice, GpuPlacement};
 use crate::pcie::{PcieLink, PcieSettings};
 use crate::topology::HostConfig;
@@ -26,7 +25,6 @@ pub fn intel_xeon_host(name: &str, sockets: u32, dram: ByteSize, gen4: bool) -> 
             PcieLink::gen3_x16()
         },
         pcie_settings: PcieSettings::default(),
-        ddio: DdioModel::default(),
         rnic_socket: 0,
         total_dram: dram,
         gpus: Vec::new(),
@@ -81,13 +79,6 @@ pub fn amd_epyc_gpu_host(name: &str, dram: ByteSize) -> HostConfig {
         cpu: CpuModel::amd_epyc("AMD EPYC CPU 1", 1),
         pcie_link: PcieLink::gen4_x16(),
         pcie_settings: PcieSettings::strict_ordering(),
-        ddio: DdioModel {
-            // AMD's equivalent steering is less aggressive than Intel DDIO.
-            enabled: true,
-            llc_size: ByteSize::from_mib(256),
-            io_way_fraction: 0.08,
-            miss_penalty_ns: 70,
-        },
         rnic_socket: 0,
         total_dram: dram,
         gpus,
@@ -117,7 +108,6 @@ pub fn intel_entry_host(name: &str) -> HostConfig {
 mod tests {
     use super::*;
     use crate::memory::MemoryTarget;
-    use crate::topology::DmaDirection;
 
     #[test]
     fn intel_host_has_no_gpus_and_gen3() {
@@ -131,10 +121,7 @@ mod tests {
     fn gpu_hosts_have_a_nic_local_gpu() {
         let h = intel_xeon_gpu_host("c", ByteSize::from_gib(384), false);
         assert!(h.has_gpus());
-        let p = h.dma_path(
-            MemoryTarget::GpuMemory { gpu_id: 0 },
-            DmaDirection::FromMemory,
-        );
+        let p = h.dma_path(MemoryTarget::GpuMemory { gpu_id: 0 });
         assert!(!p.via_root_complex);
         let amd = amd_epyc_gpu_host("e", ByteSize::from_gib(2048));
         assert!(amd.gpus.len() == 8);

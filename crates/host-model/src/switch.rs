@@ -8,55 +8,31 @@
 //! count the pause frames it receives — that count is what the operator
 //! (and our anomaly monitor) watches.
 //!
-//! The paper's testbed attaches two servers; the multi-host fabric layer
-//! attaches N. [`LosslessSwitch::new`] keeps the historical two-port shape,
-//! [`LosslessSwitch::with_ports`] builds the N-port top-of-rack switch the
-//! fabric campaigns pause-account against.
+//! The paper's testbed attaches two servers (a two-port switch); the
+//! multi-host fabric layer attaches N, one per port, and pause-accounts
+//! against every port.
 
-use collie_sim::units::BitRate;
 use serde::{Deserialize, Serialize};
 
-/// An N-port lossless top-of-rack switch (two ports by default).
+/// An N-port lossless top-of-rack switch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LosslessSwitch {
-    /// Port speed; all ports run at the same speed and match or exceed the
-    /// RNIC line rate.
-    pub port_speed: BitRate,
-    /// Cut-through forwarding latency in nanoseconds.
-    pub forwarding_latency_ns: u64,
     pause_seconds_received: Vec<f64>,
 }
 
 impl LosslessSwitch {
-    /// A two-port switch whose ports run at `port_speed` (the paper's
-    /// two-server testbed).
-    pub fn new(port_speed: BitRate) -> Self {
-        LosslessSwitch::with_ports(port_speed, 2)
-    }
-
-    /// A switch with `ports` ports (at least two) running at `port_speed`,
-    /// one per attached host of a multi-host fabric.
-    pub fn with_ports(port_speed: BitRate, ports: usize) -> Self {
+    /// A switch with `ports` ports (at least two), one per attached host.
+    /// Its ports match the RNIC line rate, so the switch itself never
+    /// congests (§4).
+    pub fn with_ports(ports: usize) -> Self {
         LosslessSwitch {
-            port_speed,
-            forwarding_latency_ns: 600,
             pause_seconds_received: vec![0.0; ports.max(2)],
         }
     }
 
     /// Number of ports (== number of attachable hosts).
-    pub fn port_count(&self) -> usize {
+    fn port_count(&self) -> usize {
         self.pause_seconds_received.len()
-    }
-
-    /// True if the switch can carry `offered` on one port without itself
-    /// congesting. With matched port speeds this is always true for offered
-    /// loads at or below line rate — the paper's premise that the network is
-    /// congestion-free. Fabric traffic matrices are admissible by
-    /// construction (incast senders split the egress line rate), so the
-    /// premise carries over to N ports.
-    pub fn can_carry(&self, offered: BitRate) -> bool {
-        offered.bits_per_sec() <= self.port_speed.bits_per_sec() + 1.0
     }
 
     /// Record that the host attached to `port` asked its switch port to
@@ -69,7 +45,7 @@ impl LosslessSwitch {
     }
 
     /// Total pause time received on a port since construction.
-    pub fn pause_seconds(&self, port: usize) -> f64 {
+    fn pause_seconds(&self, port: usize) -> f64 {
         self.pause_seconds_received
             .get(port)
             .copied()
@@ -82,7 +58,7 @@ impl LosslessSwitch {
     ///
     /// A degenerate (zero or negative) window reads as "no observation",
     /// not as a division: the ratio is 0, never NaN or infinite.
-    pub fn pause_duration_ratio(&self, port: usize, window_seconds: f64) -> f64 {
+    fn pause_duration_ratio(&self, port: usize, window_seconds: f64) -> f64 {
         if window_seconds <= 0.0 {
             return 0.0;
         }
@@ -109,16 +85,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn never_congested_at_or_below_line_rate() {
-        let sw = LosslessSwitch::new(BitRate::from_gbps(200.0));
-        assert!(sw.can_carry(BitRate::from_gbps(200.0)));
-        assert!(sw.can_carry(BitRate::from_gbps(10.0)));
-        assert!(!sw.can_carry(BitRate::from_gbps(201.0)));
-    }
-
-    #[test]
     fn pause_accounting_and_ratio() {
-        let mut sw = LosslessSwitch::new(BitRate::from_gbps(100.0));
+        let mut sw = LosslessSwitch::with_ports(2);
         sw.record_pause(0, 0.05);
         sw.record_pause(0, 0.05);
         sw.record_pause(1, 0.2);
@@ -129,7 +97,7 @@ mod tests {
 
     #[test]
     fn ratio_clamps_and_handles_degenerate_windows() {
-        let mut sw = LosslessSwitch::new(BitRate::from_gbps(100.0));
+        let mut sw = LosslessSwitch::with_ports(2);
         sw.record_pause(0, 5.0);
         assert_eq!(sw.pause_duration_ratio(0, 1.0), 1.0);
         // Zero and negative windows read as "no observation": 0.0, never a
@@ -141,7 +109,7 @@ mod tests {
 
     #[test]
     fn invalid_port_is_ignored() {
-        let mut sw = LosslessSwitch::new(BitRate::from_gbps(100.0));
+        let mut sw = LosslessSwitch::with_ports(2);
         sw.record_pause(7, 1.0);
         assert_eq!(sw.pause_seconds(7), 0.0);
         assert_eq!(sw.pause_duration_ratio(7, 1.0), 0.0);
@@ -149,7 +117,7 @@ mod tests {
 
     #[test]
     fn negative_pause_is_ignored_and_reset_clears() {
-        let mut sw = LosslessSwitch::new(BitRate::from_gbps(100.0));
+        let mut sw = LosslessSwitch::with_ports(2);
         sw.record_pause(0, -1.0);
         assert_eq!(sw.pause_seconds(0), 0.0);
         sw.record_pause(0, 1.0);
@@ -159,7 +127,7 @@ mod tests {
 
     #[test]
     fn n_port_switch_accounts_every_port() {
-        let mut sw = LosslessSwitch::with_ports(BitRate::from_gbps(200.0), 8);
+        let mut sw = LosslessSwitch::with_ports(8);
         assert_eq!(sw.port_count(), 8);
         for port in 0..8 {
             sw.record_pause(port, 0.01 * (port + 1) as f64);
@@ -175,7 +143,7 @@ mod tests {
 
     #[test]
     fn switch_never_has_fewer_than_two_ports() {
-        let sw = LosslessSwitch::with_ports(BitRate::from_gbps(100.0), 0);
+        let sw = LosslessSwitch::with_ports(0);
         assert_eq!(sw.port_count(), 2);
     }
 }

@@ -1,26 +1,17 @@
 //! Host topology assembly and DMA path resolution.
 //!
-//! [`HostConfig`] pulls the PCIe, CPU, memory, GPU, and DDIO pieces together
-//! into one server description (one row of Table 1, minus the RNIC itself),
-//! and answers the question the RNIC model keeps asking: *for a DMA to or
-//! from this memory target, what bandwidth ceiling, extra latency, and
-//! ordering hazards does the host impose?* The answer is a [`DmaPath`].
+//! [`HostConfig`] pulls the PCIe, CPU, memory and GPU pieces together into
+//! one server description (one row of Table 1, minus the RNIC itself), and
+//! answers the question the RNIC model keeps asking: *for a DMA to or from
+//! this memory target, what bandwidth ceiling does the host impose, and
+//! does the path cross a socket or detour through the root complex?* The
+//! answer is a [`DmaPath`].
 
 use crate::cpu::CpuModel;
-use crate::ddio::DdioModel;
 use crate::memory::{GpuDevice, GpuPlacement, MemoryTarget};
 use crate::pcie::{PcieLink, PcieSettings};
 use collie_sim::units::{BitRate, ByteSize};
 use serde::{Deserialize, Serialize};
-
-/// Direction of a DMA transfer relative to host memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DmaDirection {
-    /// RNIC reads host/GPU memory (transmit path, WQE fetch).
-    FromMemory,
-    /// RNIC writes host/GPU memory (receive path, CQE delivery).
-    ToMemory,
-}
 
 /// A fully assembled host: one server of the two-server testbed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,8 +24,6 @@ pub struct HostConfig {
     pub pcie_link: PcieLink,
     /// PCIe/BIOS configuration knobs.
     pub pcie_settings: PcieSettings,
-    /// DDIO / LLC model of the RNIC-affinitive socket.
-    pub ddio: DdioModel,
     /// The socket whose root complex the RNIC descends from.
     pub rnic_socket: u32,
     /// Total installed DRAM (Table 1 "Memory" column); bounds how much
@@ -54,18 +43,11 @@ pub struct DmaPath {
     /// Host-side bandwidth ceiling for this flow, before PCIe TLP
     /// efficiency is applied (the RNIC model combines the two).
     pub bandwidth_ceiling: BitRate,
-    /// Extra one-way latency in nanoseconds relative to a NUMA-local DRAM
-    /// access (socket hops, switch hops, root-complex detours).
-    pub extra_latency_ns: f64,
-    /// Base memory latency in nanoseconds (local DRAM or HBM access).
-    pub base_latency_ns: f64,
     /// True if the path crosses the CPU socket interconnect.
     pub crosses_socket: bool,
     /// True if peer-to-peer traffic is detoured through the root complex
     /// (the ACS misconfiguration of Anomaly #12).
     pub via_root_complex: bool,
-    /// True if the target is GPU memory.
-    pub is_gpu: bool,
 }
 
 impl HostConfig {
@@ -101,30 +83,22 @@ impl HostConfig {
     /// pessimistic placement) rather than panicking, so a mutated search
     /// point that references a GPU the host does not have still produces a
     /// well-defined (and unattractive) workload.
-    pub fn dma_path(&self, target: MemoryTarget, _direction: DmaDirection) -> DmaPath {
+    pub fn dma_path(&self, target: MemoryTarget) -> DmaPath {
         match target {
             MemoryTarget::HostDram { numa_node } => {
                 let socket = self.cpu.socket_of_numa(numa_node);
                 let crosses = socket != self.rnic_socket;
                 let mut ceiling = self.cpu.dram_bandwidth_per_socket;
-                let mut extra = 0.0;
                 if crosses {
                     ceiling = self
                         .cpu
                         .cross_socket_bandwidth
                         .scaled(self.cpu.cross_socket_dma_efficiency);
-                    extra += self.cpu.cross_socket_latency_ns as f64;
-                }
-                if self.cpu.chiplets_per_socket > 1 {
-                    extra += self.cpu.cross_chiplet_latency_ns as f64;
                 }
                 DmaPath {
                     bandwidth_ceiling: ceiling,
-                    extra_latency_ns: extra,
-                    base_latency_ns: self.cpu.local_dram_latency_ns as f64,
                     crosses_socket: crosses,
                     via_root_complex: false,
-                    is_gpu: false,
                 }
             }
             MemoryTarget::GpuMemory { gpu_id } => {
@@ -145,78 +119,21 @@ impl HostConfig {
                 // NIC's PCIe rate; detours through the root complex or the
                 // socket interconnect progressively cut it down.
                 let mut ceiling = self.pcie_link.raw_bandwidth();
-                let mut extra = 350.0; // GPU BAR access is slower than DRAM
                 if via_root_complex {
                     ceiling = ceiling.scaled(0.55);
-                    extra += 400.0;
                 }
                 if crosses {
                     ceiling = ceiling
                         .min(self.cpu.cross_socket_bandwidth)
                         .scaled(self.cpu.cross_socket_dma_efficiency);
-                    extra += self.cpu.cross_socket_latency_ns as f64;
                 }
                 DmaPath {
                     bandwidth_ceiling: ceiling,
-                    extra_latency_ns: extra,
-                    base_latency_ns: 500.0,
                     crosses_socket: crosses,
                     via_root_complex,
-                    is_gpu: true,
                 }
             }
         }
-    }
-}
-
-impl DmaPath {
-    /// Total one-way latency in nanoseconds (base + topology extras).
-    pub fn total_latency_ns(&self) -> f64 {
-        self.base_latency_ns + self.extra_latency_ns
-    }
-}
-
-/// A multi-host fabric: N servers attached to one shared lossless switch,
-/// one host per switch port.
-///
-/// The paper's testbed is the two-host special case; the fabric campaigns
-/// scale the same homogeneous server out to N ports so that cross-host
-/// effects (PFC pause propagation, victim-flow collapse) become
-/// expressible. Host `i` sits on switch port `i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FabricTopology {
-    /// The attached hosts, in switch-port order.
-    pub hosts: Vec<HostConfig>,
-}
-
-impl FabricTopology {
-    /// A fabric of `host_count` identical copies of `host` (clamped to at
-    /// least two — a fabric below two hosts carries no traffic).
-    pub fn homogeneous(host: &HostConfig, host_count: u32) -> FabricTopology {
-        let count = host_count.max(2) as usize;
-        let mut hosts = Vec::with_capacity(count);
-        for index in 0..count {
-            let mut h = host.clone();
-            h.name = format!("{}-{index}", host.name);
-            hosts.push(h);
-        }
-        FabricTopology { hosts }
-    }
-
-    /// Number of attached hosts (== switch ports in use).
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// The switch port a host is attached to (an identity mapping, kept as
-    /// a named operation so the port assignment has exactly one definition).
-    pub fn port_of(&self, host_index: usize) -> Option<usize> {
-        (host_index < self.hosts.len()).then_some(host_index)
-    }
-
-    /// The host attached to `port`, if any.
-    pub fn host(&self, port: usize) -> Option<&HostConfig> {
-        self.hosts.get(port)
     }
 }
 
@@ -236,27 +153,18 @@ mod tests {
     #[test]
     fn local_dram_path_is_cheap() {
         let host = intel_host();
-        let p = host.dma_path(MemoryTarget::local_dram(), DmaDirection::ToMemory);
+        let p = host.dma_path(MemoryTarget::local_dram());
         assert!(!p.crosses_socket);
         assert!(!p.via_root_complex);
-        assert!(!p.is_gpu);
-        assert_eq!(p.extra_latency_ns, 0.0);
         assert!(p.bandwidth_ceiling.gbps() > 500.0);
     }
 
     #[test]
     fn remote_socket_dram_pays_latency_and_bandwidth() {
         let host = intel_host();
-        let local = host.dma_path(
-            MemoryTarget::HostDram { numa_node: 0 },
-            DmaDirection::ToMemory,
-        );
-        let remote = host.dma_path(
-            MemoryTarget::HostDram { numa_node: 1 },
-            DmaDirection::ToMemory,
-        );
+        let local = host.dma_path(MemoryTarget::HostDram { numa_node: 0 });
+        let remote = host.dma_path(MemoryTarget::HostDram { numa_node: 1 });
         assert!(remote.crosses_socket);
-        assert!(remote.total_latency_ns() > local.total_latency_ns());
         assert!(remote.bandwidth_ceiling.gbps() < local.bandwidth_ceiling.gbps());
     }
 
@@ -264,14 +172,8 @@ mod tests {
     fn amd_cross_socket_is_much_worse_than_intel() {
         let amd = amd_gpu_host();
         let intel = intel_host();
-        let amd_remote = amd.dma_path(
-            MemoryTarget::HostDram { numa_node: 1 },
-            DmaDirection::ToMemory,
-        );
-        let intel_remote = intel.dma_path(
-            MemoryTarget::HostDram { numa_node: 1 },
-            DmaDirection::ToMemory,
-        );
+        let amd_remote = amd.dma_path(MemoryTarget::HostDram { numa_node: 1 });
+        let intel_remote = intel.dma_path(MemoryTarget::HostDram { numa_node: 1 });
         assert!(amd_remote.bandwidth_ceiling.gbps() < intel_remote.bandwidth_ceiling.gbps());
         // The anomalous AMD platform cannot sustain 200 Gbps across sockets.
         assert!(amd_remote.bandwidth_ceiling.gbps() < 200.0);
@@ -280,57 +182,24 @@ mod tests {
     #[test]
     fn gpu_same_switch_is_fast_unless_acs_misconfigured() {
         let mut host = amd_gpu_host();
-        let good = host.dma_path(
-            MemoryTarget::GpuMemory { gpu_id: 0 },
-            DmaDirection::FromMemory,
-        );
+        let good = host.dma_path(MemoryTarget::GpuMemory { gpu_id: 0 });
         assert!(
             !good.via_root_complex,
             "same-switch GPU should switch P2P locally"
         );
 
         host.pcie_settings.acs_redirect_p2p = true;
-        let bad = host.dma_path(
-            MemoryTarget::GpuMemory { gpu_id: 0 },
-            DmaDirection::FromMemory,
-        );
+        let bad = host.dma_path(MemoryTarget::GpuMemory { gpu_id: 0 });
         assert!(bad.via_root_complex);
         assert!(bad.bandwidth_ceiling.gbps() < good.bandwidth_ceiling.gbps());
-        assert!(bad.total_latency_ns() > good.total_latency_ns());
     }
 
     #[test]
     fn unknown_gpu_resolves_pessimistically() {
         let host = intel_host(); // no GPUs installed
-        let p = host.dma_path(
-            MemoryTarget::GpuMemory { gpu_id: 42 },
-            DmaDirection::ToMemory,
-        );
-        assert!(p.is_gpu);
+        let p = host.dma_path(MemoryTarget::GpuMemory { gpu_id: 42 });
         assert!(p.crosses_socket);
         assert!(p.via_root_complex);
-    }
-
-    #[test]
-    fn fabric_topology_scales_one_host_out_to_n_ports() {
-        let fabric = FabricTopology::homogeneous(&intel_host(), 6);
-        assert_eq!(fabric.host_count(), 6);
-        // One host per port, identity port assignment.
-        for index in 0..6 {
-            assert_eq!(fabric.port_of(index), Some(index));
-            assert!(fabric
-                .host(index)
-                .unwrap()
-                .name
-                .ends_with(&index.to_string()));
-        }
-        assert_eq!(fabric.port_of(6), None);
-        assert!(fabric.host(6).is_none());
-        // Degenerate host counts clamp to the two-host testbed.
-        assert_eq!(
-            FabricTopology::homogeneous(&intel_host(), 0).host_count(),
-            2
-        );
     }
 
     #[test]

@@ -228,7 +228,7 @@ pub fn lint(workspace: &Workspace, options: &Options) -> LintReport {
 const SCAN_DIRS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Assemble a [`Workspace`] from a repository root on disk.
-pub fn load_workspace_dir(root: &Path) -> Result<Workspace, String> {
+fn load_workspace_dir(root: &Path) -> Result<Workspace, String> {
     let mut files: Vec<(String, String)> = Vec::new();
     for dir in SCAN_DIRS {
         let base = root.join(dir);

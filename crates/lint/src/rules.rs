@@ -123,14 +123,14 @@ impl Candidate {
 }
 
 /// Whether `rel` lives in a deterministic crate (D1/D4 scope).
-pub fn deterministic_scope(rel: &str) -> bool {
+fn deterministic_scope(rel: &str) -> bool {
     DETERMINISTIC_PREFIXES
         .iter()
         .any(|prefix| rel.starts_with(prefix))
 }
 
 /// Whether `rel` is a crate root or bin root (D6 scope).
-pub fn is_crate_root(rel: &str) -> bool {
+fn is_crate_root(rel: &str) -> bool {
     rel == "src/lib.rs"
         || rel == "src/main.rs"
         || (rel.starts_with("crates/")
@@ -503,7 +503,7 @@ fn check_forbid_unsafe(rel: &str, code: &[&Token], out: &mut Vec<Candidate>) {
 
 /// Whether `text` is exactly a golden-fixture basename
 /// (`golden_….json`).
-pub fn is_golden_basename(text: &str) -> bool {
+fn is_golden_basename(text: &str) -> bool {
     text.strip_prefix("golden_")
         .and_then(|rest| rest.strip_suffix(".json"))
         .is_some_and(|stem| {

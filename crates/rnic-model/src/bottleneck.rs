@@ -27,7 +27,7 @@
 use crate::counters::diag;
 use crate::spec::{RnicSpec, RnicVendor};
 use crate::workload::{Direction, FlowSpec, Opcode, Transport, WorkloadSpec};
-use collie_host::topology::{DmaDirection, HostConfig};
+use collie_host::topology::HostConfig;
 use serde::{Deserialize, Serialize};
 
 /// Everything a rule may inspect when scoring one flow.
@@ -329,12 +329,8 @@ fn host_topology_rules(ctx: &FlowContext<'_>, out: &mut Vec<StressReport>) {
     let f = ctx.flow;
     let w = ctx.workload;
 
-    let src_path = ctx
-        .sender_host
-        .dma_path(f.src_memory, DmaDirection::FromMemory);
-    let dst_path = ctx
-        .receiver_host
-        .dma_path(f.dst_memory, DmaDirection::ToMemory);
+    let src_path = ctx.sender_host.dma_path(f.src_memory);
+    let dst_path = ctx.receiver_host.dma_path(f.dst_memory);
 
     // Anomaly #11: bidirectional cross-socket traffic on chiplet-based
     // servers whose I/O die forwards inbound PCIe writes poorly.

@@ -61,11 +61,6 @@ pub mod perf {
         RX_PACKETS_PER_SEC,
     ];
 
-    /// Position of a performance counter name in [`ALL`].
-    pub(crate) fn index_of(name: &str) -> Option<usize> {
-        super::position(&ALL, name)
-    }
-
     /// A performance counter named by its position in [`ALL`], which is
     /// also its slot in the counter schema: the flow model publishes
     /// through it without looking a name up.
@@ -129,7 +124,7 @@ pub mod diag {
     ];
 
     /// Position of a diagnostic counter name in [`ALL`].
-    pub fn index_of(name: &str) -> Option<usize> {
+    fn index_of(name: &str) -> Option<usize> {
         super::position(&ALL, name)
     }
 
@@ -290,31 +285,9 @@ impl RnicCounters {
         self.live.values_mut()[slot] = value.max(0.0);
     }
 
-    /// Set a performance counter by name (no-op for unknown names).
-    pub fn set_perf(&mut self, name: &str, value: f64) {
-        if let Some(index) = perf::index_of(name) {
-            self.set(index, value);
-        }
-    }
-
     /// Set a performance counter by slot.
     pub fn set_perf_at(&mut self, slot: perf::Slot, value: f64) {
         self.set(slot.index(), value);
-    }
-
-    /// Set a diagnostic counter by name (no-op for unknown names).
-    pub fn set_diag(&mut self, name: &str, value: f64) {
-        if let Some(index) = diag::index_of(name) {
-            self.set(DIAG_BASE + index, value);
-        }
-    }
-
-    /// Add to a diagnostic counter by name, clamped at zero (no-op for
-    /// unknown names).
-    pub fn add_diag(&mut self, name: &str, delta: f64) {
-        if let Some(index) = diag::index_of(name) {
-            self.add(DIAG_BASE + index, delta);
-        }
     }
 
     /// Add to a diagnostic counter by slot, clamped at zero.
@@ -357,15 +330,37 @@ mod tests {
     }
 
     #[test]
-    fn set_and_add_by_name() {
+    fn set_and_add_by_slot() {
         let mut c = RnicCounters::new();
-        c.set_perf(perf::TX_BYTES_PER_SEC, 1e9);
-        c.set_diag(diag::RECV_WQE_CACHE_MISS, 5.0);
-        c.add_diag(diag::RECV_WQE_CACHE_MISS, 3.0);
+        c.set_perf_at(perf::Slot::TX_BYTES_PER_SEC, 1e9);
+        c.add_diag_at(diag::Slot::RECV_WQE_CACHE_MISS, 5.0);
+        c.add_diag_at(diag::Slot::RECV_WQE_CACHE_MISS, 3.0);
         let snap = c.snapshot();
         assert_eq!(snap.value(perf::TX_BYTES_PER_SEC), Some(1e9));
         assert_eq!(snap.value(diag::RECV_WQE_CACHE_MISS), Some(8.0));
         assert_eq!(snap.iter().filter(|(_, _, v)| *v != 0.0).count(), 2);
+
+        // Every slot writes the counter its name reads back.
+        let perf_slots = [
+            (perf::Slot::TX_BYTES_PER_SEC, perf::TX_BYTES_PER_SEC),
+            (perf::Slot::RX_BYTES_PER_SEC, perf::RX_BYTES_PER_SEC),
+            (perf::Slot::TX_PACKETS_PER_SEC, perf::TX_PACKETS_PER_SEC),
+            (perf::Slot::RX_PACKETS_PER_SEC, perf::RX_PACKETS_PER_SEC),
+        ];
+        let mut every = RnicCounters::new();
+        for (step, (slot, _)) in perf_slots.iter().enumerate() {
+            every.set_perf_at(*slot, step as f64 + 1.0);
+        }
+        for (step, slot) in diag::Slot::all().enumerate() {
+            every.add_diag_at(slot, step as f64 + 10.0);
+        }
+        let snap = every.snapshot();
+        for (step, (_, name)) in perf_slots.iter().enumerate() {
+            assert_eq!(snap.value(name), Some(step as f64 + 1.0), "{name}");
+        }
+        for (step, name) in diag::ALL.iter().enumerate() {
+            assert_eq!(snap.value(name), Some(step as f64 + 10.0), "{name}");
+        }
     }
 
     #[test]
@@ -378,26 +373,6 @@ mod tests {
         assert_eq!(diag::Slot::INTERNAL_INCAST.name(), diag::INTERNAL_INCAST);
         let names: Vec<&str> = diag::Slot::all().map(diag::Slot::name).collect();
         assert_eq!(names, diag::ALL);
-    }
-
-    #[test]
-    fn slot_writes_match_name_writes() {
-        let mut by_name = RnicCounters::new();
-        let mut by_slot = RnicCounters::new();
-        by_name.set_perf(perf::TX_PACKETS_PER_SEC, 3.0);
-        by_slot.set_perf_at(perf::Slot::TX_PACKETS_PER_SEC, 3.0);
-        for (step, slot) in diag::Slot::all().enumerate() {
-            let delta = step as f64 - 2.0;
-            by_name.add_diag(slot.name(), delta);
-            by_name.add_diag(slot.name(), 1.5);
-            by_slot.add_diag_at(slot, delta);
-            by_slot.add_diag_at(slot, 1.5);
-        }
-        assert_eq!(by_name.snapshot(), by_slot.snapshot());
-        assert_eq!(
-            by_slot.snapshot().value(diag::RECV_WQE_CACHE_MISS),
-            Some(1.5)
-        );
     }
 
     #[test]
@@ -415,34 +390,32 @@ mod tests {
 
     #[test]
     fn unknown_names_are_ignored() {
-        let mut c = RnicCounters::new();
-        // collie-lint: begin(counter-name, reason = "deliberately unregistered names proving unknown-counter writes are no-ops")
-        c.set_perf("perf/nope", 1.0);
-        c.set_diag("diag/nope", 1.0);
-        c.add_diag("diag/nope", 1.0);
+        let c = RnicCounters::new();
+        // collie-lint: begin(counter-name, reason = "deliberately unregistered names proving lookups of unknown counters find nothing")
         assert!(c.schema().index_of("perf/nope").is_none());
+        assert!(c.snapshot().value("diag/nope").is_none());
+        assert!(c.snapshot().kind("diag/nope").is_none());
         // collie-lint: end(counter-name)
-        assert!(c.snapshot().iter().all(|(_, _, v)| v == 0.0));
     }
 
     #[test]
     fn values_never_go_negative() {
         let mut c = RnicCounters::new();
-        c.add_diag(diag::MTT_CACHE_MISS, -5.0);
+        c.add_diag_at(diag::Slot::MTT_CACHE_MISS, -5.0);
         assert_eq!(c.snapshot().value(diag::MTT_CACHE_MISS), Some(0.0));
-        c.add_diag(diag::MTT_CACHE_MISS, 2.0);
-        c.add_diag(diag::MTT_CACHE_MISS, -10.0);
+        c.add_diag_at(diag::Slot::MTT_CACHE_MISS, 2.0);
+        c.add_diag_at(diag::Slot::MTT_CACHE_MISS, -10.0);
         assert_eq!(c.snapshot().value(diag::MTT_CACHE_MISS), Some(0.0));
-        c.set_perf(perf::RX_PACKETS_PER_SEC, -1.0);
-        c.set_diag(diag::INTERNAL_INCAST, -1.0);
+        c.set_perf_at(perf::Slot::RX_PACKETS_PER_SEC, -1.0);
+        c.add_diag_at(diag::Slot::INTERNAL_INCAST, -1.0);
         assert!(c.snapshot().iter().all(|(_, _, v)| v == 0.0));
     }
 
     #[test]
     fn reset_zeroes_all() {
         let mut c = RnicCounters::new();
-        c.set_perf(perf::RX_BYTES_PER_SEC, 7.0);
-        c.set_diag(diag::INTERNAL_INCAST, 7.0);
+        c.set_perf_at(perf::Slot::RX_BYTES_PER_SEC, 7.0);
+        c.add_diag_at(diag::Slot::INTERNAL_INCAST, 7.0);
         let before = c.snapshot();
         c.reset();
         assert!(c.snapshot().iter().all(|(_, _, v)| v == 0.0));

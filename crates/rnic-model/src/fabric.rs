@@ -128,7 +128,7 @@ impl FabricShape {
     /// Switch ports carrying culprit-bound traffic (the ports the storm
     /// propagates to). The culprit sits on port 0; senders occupy ports
     /// `1..=incast_degree`.
-    pub fn sender_ports(self) -> std::ops::RangeInclusive<usize> {
+    fn sender_ports(self) -> std::ops::RangeInclusive<usize> {
         let s = self.normalized();
         1..=(s.incast_degree as usize)
     }
@@ -230,7 +230,7 @@ pub fn evaluate_fabric(
     // amplified by quanta rounding and shared-buffer hysteresis.
     let upstream = culprit_pause.propagated(shape.amplification());
 
-    let mut switch = LosslessSwitch::with_ports(spec.line_rate, ports);
+    let mut switch = LosslessSwitch::with_ports(ports);
     switch.record_pause(0, culprit_pause.pause_ratio * window_seconds);
     for port in shape.sender_ports() {
         switch.record_pause(port, upstream.pause_ratio * window_seconds);

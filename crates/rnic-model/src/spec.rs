@@ -11,7 +11,7 @@
 //! modelled subsystem exhibits the trigger surface documented in Table 2 /
 //! Appendix A.
 
-use collie_sim::units::{BitRate, ByteSize, PacketRate};
+use collie_sim::units::{BitRate, PacketRate};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -100,11 +100,6 @@ pub struct RnicSpec {
     /// the anomaly definition). Quoted as "message rate" in vendor
     /// datasheets for minimum-size messages.
     pub max_packet_rate: PacketRate,
-    /// Number of processing units working on requests in parallel.
-    pub processing_units: u32,
-    /// Depth of the request pipeline per processing unit. The paper sets
-    /// the message-pattern window `n` to `processing_units × pipeline_stages`.
-    pub pipeline_stages: u32,
     /// QP-context (ICM) cache capacity, in connections whose state fits
     /// on-chip.
     pub qpc_cache_entries: u32,
@@ -112,10 +107,6 @@ pub struct RnicSpec {
     pub mtt_cache_entries: u32,
     /// Receive-WQE cache capacity, in descriptors.
     pub recv_wqe_cache_entries: u32,
-    /// Receive packet buffer size (Figure 1, circle 6).
-    pub rx_buffer: ByteSize,
-    /// Transmit packet buffer size (Figure 1, circle 5).
-    pub tx_buffer: ByteSize,
     /// MTUs the device supports (RDMA MTUs: 256 B – 4 KiB).
     pub supported_mtus: Vec<u32>,
     /// Fraction of the packet-processing budget available to each direction
@@ -138,13 +129,10 @@ pub struct RnicSpec {
 
 impl RnicSpec {
     fn new(model: RnicModel, gbps: f64, mpps: f64) -> RnicSpec {
-        let big = gbps >= 200.0;
         RnicSpec {
             model,
             line_rate: BitRate::from_gbps(gbps),
             max_packet_rate: PacketRate::from_mpps(mpps),
-            processing_units: if big { 8 } else { 4 },
-            pipeline_stages: 8,
             qpc_cache_entries: match model.vendor() {
                 RnicVendor::Mellanox => 640,
                 RnicVendor::Broadcom => 448,
@@ -157,8 +145,6 @@ impl RnicSpec {
                 RnicVendor::Mellanox => 1_024,
                 RnicVendor::Broadcom => 512,
             },
-            rx_buffer: ByteSize::from_kib(if big { 2048 } else { 1024 }),
-            tx_buffer: ByteSize::from_kib(if big { 1024 } else { 512 }),
             supported_mtus: vec![256, 512, 1024, 2048, 4096],
             // Bidirectional traffic shares some processing stages, but on a
             // healthy subsystem each direction still clears the 80 %-of-spec
@@ -172,13 +158,6 @@ impl RnicSpec {
             vendor_register_fix: false,
             firmware_bidir_fix: false,
         }
-    }
-
-    /// The message-pattern window length the paper derives from hardware
-    /// limits: the number of requests in flight an RNIC can be working on,
-    /// `processing_units × pipeline_stages`.
-    pub fn request_window(&self) -> u32 {
-        self.processing_units * self.pipeline_stages
     }
 
     /// Whether `mtu` (in bytes) is a supported RDMA MTU.
@@ -209,8 +188,6 @@ mod tests {
             let spec = model.spec();
             assert!(spec.line_rate.gbps() >= 25.0);
             assert!(spec.max_packet_rate.mpps() > 0.0);
-            assert!(spec.request_window() >= 16);
-            assert!(spec.rx_buffer.as_bytes() > 0);
             assert!(spec.supports_mtu(1024) && spec.supports_mtu(4096));
             assert!(!spec.supports_mtu(1500), "RDMA MTUs only");
             assert!(spec.bidirectional_processing_share > 0.0);
@@ -235,22 +212,5 @@ mod tests {
         assert_eq!(RnicModel::Cx6Dx200.spec().line_rate.gbps(), 200.0);
         assert_eq!(RnicModel::P2100G.spec().line_rate.gbps(), 100.0);
         assert_eq!(RnicModel::Cx6Dx200.spec().speed_label(), "200 Gbps");
-    }
-
-    #[test]
-    fn faster_nics_have_more_processing_units() {
-        assert!(
-            RnicModel::Cx6Dx200.spec().processing_units
-                > RnicModel::Cx5Dx100.spec().processing_units
-        );
-    }
-
-    #[test]
-    fn request_window_is_pu_times_stages() {
-        let spec = RnicModel::Cx6Dx200.spec();
-        assert_eq!(
-            spec.request_window(),
-            spec.processing_units * spec.pipeline_stages
-        );
     }
 }

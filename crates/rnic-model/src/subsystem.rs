@@ -17,7 +17,7 @@ use crate::pfc::PauseAccount;
 use crate::spec::RnicSpec;
 use crate::workload::{Direction, FlowSpec, WorkloadSpec};
 use collie_host::switch::LosslessSwitch;
-use collie_host::topology::{DmaDirection, HostConfig};
+use collie_host::topology::HostConfig;
 use collie_sim::counters::{CounterSchema, CounterSnapshot};
 use collie_sim::time::SimDuration;
 use collie_sim::units::{BitRate, ByteSize, PacketRate};
@@ -152,7 +152,7 @@ impl Subsystem {
         host_a: HostConfig,
         host_b: HostConfig,
     ) -> Self {
-        let switch = LosslessSwitch::new(rnic.line_rate);
+        let switch = LosslessSwitch::with_ports(2);
         Subsystem {
             name: name.into(),
             rnic,
@@ -379,7 +379,7 @@ impl Subsystem {
         // unbatched messages.
         let mut sender_dma_bps = 0.0;
         for f in flows() {
-            let path = sender_host.dma_path(f.src_memory, DmaDirection::FromMemory);
+            let path = sender_host.dma_path(f.src_memory);
             let chunk = f.mean_message_bytes().min(f.mtu as f64).max(1.0);
             let link = sender_host.pcie_link.effective_bandwidth(
                 ByteSize::from_bytes(chunk as u64),
@@ -392,7 +392,7 @@ impl Subsystem {
         // memory path and the receive-side packet handling budget.
         let mut receiver_dma_bps = 0.0;
         for f in flows() {
-            let path = receiver_host.dma_path(f.dst_memory, DmaDirection::ToMemory);
+            let path = receiver_host.dma_path(f.dst_memory);
             let chunk = f.mean_message_bytes().min(f.mtu as f64).max(1.0);
             let link = receiver_host.pcie_link.effective_bandwidth(
                 ByteSize::from_bytes(chunk as u64),

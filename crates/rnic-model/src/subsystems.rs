@@ -90,7 +90,6 @@ impl SubsystemId {
                 // The platform quirks the paper attributes to "particular
                 // servers" (see the module-level substitution note).
                 host.cpu.chiplets_per_socket = 4;
-                host.cpu.cross_chiplet_latency_ns = 30;
                 host.pcie_settings.relaxed_ordering = false;
                 host.pcie_settings.acs_redirect_p2p = true;
                 host

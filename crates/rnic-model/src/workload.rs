@@ -186,27 +186,23 @@ impl MessagePattern {
     }
 
     /// Mean request size in bytes.
-    pub fn mean_size(&self) -> f64 {
+    fn mean_size(&self) -> f64 {
         self.sizes.iter().sum::<u64>() as f64 / self.sizes.len() as f64
     }
 
-    /// Largest request in the window.
+    /// Largest request in the window, or 0 for an empty window (which only
+    /// deserialization can build).
     pub fn max_size(&self) -> u64 {
-        *self.sizes.iter().max().expect("pattern never empty")
-    }
-
-    /// Smallest request in the window.
-    pub fn min_size(&self) -> u64 {
-        *self.sizes.iter().min().expect("pattern never empty")
+        self.sizes.iter().copied().max().unwrap_or(0)
     }
 
     /// Fraction of requests that are at most `threshold` bytes.
-    pub fn fraction_at_most(&self, threshold: u64) -> f64 {
+    fn fraction_at_most(&self, threshold: u64) -> f64 {
         self.sizes.iter().filter(|&&s| s <= threshold).count() as f64 / self.sizes.len() as f64
     }
 
     /// Fraction of requests that are at least `threshold` bytes.
-    pub fn fraction_at_least(&self, threshold: u64) -> f64 {
+    fn fraction_at_least(&self, threshold: u64) -> f64 {
         self.sizes.iter().filter(|&&s| s >= threshold).count() as f64 / self.sizes.len() as f64
     }
 
@@ -218,7 +214,7 @@ impl MessagePattern {
     }
 
     /// Average number of MTU-sized packets one request expands to.
-    pub fn mean_packets_per_request(&self, mtu: u64) -> f64 {
+    fn mean_packets_per_request(&self, mtu: u64) -> f64 {
         let mtu = mtu.max(1);
         self.sizes
             .iter()
@@ -327,11 +323,6 @@ impl FlowSpec {
     pub fn total_mrs(&self) -> u64 {
         self.num_qps as u64 * self.mrs_per_qp as u64
     }
-
-    /// Total bytes of MR space registered by this flow on one side.
-    pub fn registered_bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(self.total_mrs() * self.mr_size.as_bytes())
-    }
 }
 
 /// A complete workload: every flow offered to the subsystem at once.
@@ -345,20 +336,6 @@ impl WorkloadSpec {
     /// A workload with a single flow.
     pub fn single(flow: FlowSpec) -> Self {
         WorkloadSpec { flows: vec![flow] }
-    }
-
-    /// All flows whose payload is transmitted by `host` (0 = A, 1 = B).
-    pub fn flows_sent_by(&self, host: usize) -> impl Iterator<Item = &FlowSpec> {
-        self.flows
-            .iter()
-            .filter(move |f| f.direction.sender_host() == host)
-    }
-
-    /// All flows whose payload is received by `host`.
-    pub fn flows_received_by(&self, host: usize) -> impl Iterator<Item = &FlowSpec> {
-        self.flows
-            .iter()
-            .filter(move |f| f.direction.receiver_host() == host)
     }
 
     /// True if payload moves in both directions between the hosts
@@ -383,11 +360,6 @@ impl WorkloadSpec {
     /// Total MRs registered per host.
     pub fn total_mrs(&self) -> u64 {
         self.flows.iter().map(|f| f.total_mrs()).sum()
-    }
-
-    /// Total registered bytes per host.
-    pub fn registered_bytes(&self) -> ByteSize {
-        self.flows.iter().map(|f| f.registered_bytes()).sum()
     }
 
     /// True if every flow is individually valid and there is at least one.
@@ -417,7 +389,6 @@ mod tests {
         let p = MessagePattern::new(vec![128, 65536, 1024]);
         assert_eq!(p.len(), 3);
         assert_eq!(p.max_size(), 65536);
-        assert_eq!(p.min_size(), 128);
         assert!((p.mean_size() - 22229.333).abs() < 0.01);
         assert!(p.mixes_small_and_large(1024, 65536));
         assert!(!p.mixes_small_and_large(64, 65536));
@@ -488,7 +459,6 @@ mod tests {
         assert!((f.mean_packets_per_message() - 8.0).abs() < 1e-12);
         assert_eq!(f.wqe_bytes_per_message(), 64.0 + 48.0);
         assert_eq!(f.total_mrs(), 80);
-        assert_eq!(f.registered_bytes(), ByteSize::from_kib(64 * 80));
         assert!(!f.consumes_recv_wqe());
         f.opcode = Opcode::Send;
         assert!(f.consumes_recv_wqe());
@@ -505,9 +475,6 @@ mod tests {
         };
         assert!(w.is_bidirectional());
         assert!(w.has_loopback());
-        assert_eq!(w.flows_sent_by(0).count(), 2);
-        assert_eq!(w.flows_received_by(0).count(), 2);
-        assert_eq!(w.flows_sent_by(1).count(), 1);
         assert_eq!(w.total_qps(), 3);
 
         let uni = WorkloadSpec::single(FlowSpec::basic(Direction::AToB));

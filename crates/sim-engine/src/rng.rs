@@ -56,7 +56,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -101,14 +101,6 @@ impl SimRng {
     /// Pick a uniformly random element of a slice. Panics on an empty slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.gen_index(items.len())]
-    }
-
-    /// Fisher–Yates shuffle of a slice, in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_index(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -175,16 +167,6 @@ mod tests {
         let hits = (0..20_000).filter(|_| r.gen_bool(0.25)).count();
         let rate = hits as f64 / 20_000.0;
         assert!((rate - 0.25).abs() < 0.02, "observed rate {rate}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::new(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

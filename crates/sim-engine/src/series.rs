@@ -77,7 +77,7 @@ impl TimeSeries {
     }
 
     /// The maximum recorded value (0 if empty).
-    pub fn max_value(&self) -> f64 {
+    fn max_value(&self) -> f64 {
         self.samples.iter().map(|s| s.value).fold(0.0_f64, f64::max)
     }
 

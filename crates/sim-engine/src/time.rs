@@ -58,12 +58,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// The duration elapsed since `earlier`, saturating at zero if `earlier`
-    /// is in the future.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Checked addition of a duration.
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
@@ -121,16 +115,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// The ratio of this duration to `total`, in `[0, 1]` if `self <= total`.
-    /// Returns 0 when `total` is zero.
-    pub fn ratio_of(self, total: SimDuration) -> f64 {
-        if total.0 == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total.0 as f64
-        }
     }
 }
 
@@ -235,21 +219,6 @@ mod tests {
         assert_eq!(d, SimDuration::from_millis(5));
         assert_eq!(d * 3, SimDuration::from_millis(15));
         assert_eq!(d / 5, SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn saturating_since_never_underflows() {
-        let early = SimTime::from_millis(1);
-        let late = SimTime::from_millis(9);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early), SimDuration::from_millis(8));
-    }
-
-    #[test]
-    fn ratio_of_handles_zero_total() {
-        assert_eq!(SimDuration::from_millis(1).ratio_of(SimDuration::ZERO), 0.0);
-        let half = SimDuration::from_millis(5).ratio_of(SimDuration::from_millis(10));
-        assert!((half - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -168,18 +168,6 @@ impl BitRate {
         self.0 / 1e9
     }
 
-    /// Time needed to transfer `bytes` at this rate. Returns zero for a zero
-    /// payload and `None` for a zero rate and non-zero payload.
-    pub fn time_to_send(self, bytes: ByteSize) -> Option<SimDuration> {
-        if bytes.as_bytes() == 0 {
-            return Some(SimDuration::ZERO);
-        }
-        if self.0 <= 0.0 {
-            return None;
-        }
-        Some(SimDuration::from_secs_f64(bytes.as_bits() as f64 / self.0))
-    }
-
     /// Scale the rate by a unitless factor, clamping at zero.
     pub fn scaled(self, factor: f64) -> BitRate {
         BitRate((self.0 * factor).max(0.0))
@@ -324,17 +312,6 @@ mod tests {
         let r = BitRate::from_gbps(100.0);
         assert!((r.bytes_per_sec() - 12.5e9).abs() < 1.0);
         assert!((r.gbps() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_to_send_and_back() {
-        let r = BitRate::from_gbps(8.0); // 1 GB/s
-        let d = r.time_to_send(ByteSize::from_bytes(1_000_000_000)).unwrap();
-        assert!((d.as_secs_f64() - 1.0).abs() < 1e-6);
-        assert_eq!(r.time_to_send(ByteSize::ZERO).unwrap(), SimDuration::ZERO);
-        assert!(BitRate::ZERO
-            .time_to_send(ByteSize::from_bytes(1))
-            .is_none());
     }
 
     #[test]

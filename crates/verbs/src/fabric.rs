@@ -24,9 +24,9 @@ use collie_rnic::workload::{Direction, FlowSpec, MessagePattern, WorkloadSpec};
 use collie_sim::units::ByteSize;
 use std::collections::BTreeMap;
 
-/// The testbed as seen by verbs applications: two servers by default, N
-/// servers when built with [`Fabric::with_hosts`] (the multi-host fabric
-/// layer — every extra host is a copy of host B on its own switch port).
+/// The testbed as seen by verbs applications: one device per server, two
+/// servers by default. Every further host is a copy of host B on its own
+/// switch port (the multi-host fabric layer's homogeneous fleet).
 #[derive(Debug)]
 pub struct Fabric {
     subsystem: Subsystem,
@@ -43,7 +43,7 @@ impl Fabric {
     /// Build a fabric of `host_count` hosts (clamped to at least two):
     /// host 0 is the subsystem's host A, every further host a copy of
     /// host B — the homogeneous fleet the fabric campaigns model.
-    pub fn with_hosts(subsystem: Subsystem, host_count: usize) -> Self {
+    fn with_hosts(subsystem: Subsystem, host_count: usize) -> Self {
         let count = host_count.max(2);
         let mut devices = Vec::with_capacity(count);
         devices.push(RdmaDevice::new(

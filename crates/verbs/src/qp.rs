@@ -367,11 +367,6 @@ impl QueuePair {
         self.pending_sends.len()
     }
 
-    /// Number of posted receive WRs.
-    pub fn pending_recv_count(&self) -> usize {
-        self.pending_recvs.len()
-    }
-
     /// Summarise the posted traffic for the fabric. Returns `None` if the QP
     /// has nothing to send or is not connected.
     pub fn traffic_profile(&self) -> Option<TrafficProfile> {
@@ -553,7 +548,7 @@ mod tests {
             sge: vec![Sge::new(mr.lkey, 0, 4096)],
         })
         .unwrap();
-        assert_eq!(qp.pending_recv_count(), 1);
+        assert_eq!(qp.pending_recvs.len(), 1);
     }
 
     #[test]

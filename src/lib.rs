@@ -27,8 +27,8 @@
 //!
 //! * [`sim`] — deterministic simulation substrate (time, units, RNG,
 //!   counters, statistics, time series).
-//! * [`host`] — host hardware model (PCIe, NUMA, GPUs, DDIO, switch) and
-//!   the Table-1 host presets.
+//! * [`host`] — host hardware model (PCIe, NUMA, GPUs, switch) and the
+//!   Table-1 host presets.
 //! * [`rnic`] — the RNIC behavioural model, counters, bottleneck rules and
 //!   the Table-1 subsystem catalog.
 //! * [`verbs`] — a verbs-style API (MR/QP/CQ/WQE) over the simulated
@@ -92,21 +92,6 @@ pub fn assess_workload(subsystem: SubsystemId, workload: &SearchPoint) -> Anomal
     verdict
 }
 
-/// Run a fabric campaign (counter-guided search over the multi-host
-/// space) against a homogeneous fleet of one subsystem's hosts for
-/// `budget_hours` of simulated testing time.
-pub fn quick_fabric_campaign(
-    subsystem: SubsystemId,
-    budget_hours: f64,
-    seed: u64,
-) -> FabricOutcome {
-    let mut engine = FabricEngine::for_catalog(subsystem);
-    let space = FabricSpace::for_host(&subsystem.host());
-    let config =
-        SearchConfig::collie(seed).with_budget(SimDuration::from_secs_f64(budget_hours * 3600.0));
-    run_fabric_search(&mut engine, &space, &config)
-}
-
 /// Check one fabric point against a subsystem's fleet: measure it and
 /// return the fabric verdict (pause on a victim port, cross-host
 /// hallmark).
@@ -135,13 +120,6 @@ mod tests {
         assert!(!assess_workload(SubsystemId::F, &SearchPoint::benign()).is_anomalous());
         let anomaly = KnownAnomaly::by_id(1).unwrap();
         assert!(assess_workload(SubsystemId::F, &anomaly.trigger).is_anomalous());
-    }
-
-    #[test]
-    fn quick_fabric_campaign_runs_within_budget() {
-        let outcome = quick_fabric_campaign(SubsystemId::F, 0.5, 3);
-        assert!(outcome.experiments > 5);
-        assert!(outcome.elapsed.as_secs_f64() <= 1800.0 + 4500.0);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! the Broadcom subsystem has its own family).
 
 use collie::prelude::*;
+use collie::rnic::bottleneck::{evaluate_rules, FlowContext};
 use collie::rnic::spec::RnicVendor;
 use collie::rnic::workload::{FlowSpec, WorkloadSpec};
 
@@ -196,7 +197,9 @@ fn a_short_campaign_runs_on_every_subsystem() {
 }
 
 /// A workload read from JSON can carry an empty message pattern, which no
-/// constructor builds. It must measure as an invalid workload, not panic.
+/// constructor builds. It must measure as an invalid workload, not panic,
+/// and the public rule evaluation must score it without panicking on any
+/// subsystem.
 #[test]
 fn a_deserialized_empty_message_pattern_is_an_invalid_workload() {
     let workload = WorkloadSpec::single(FlowSpec::basic(Direction::AToB));
@@ -211,4 +214,19 @@ fn a_deserialized_empty_message_pattern_is_an_invalid_workload() {
     assert_eq!(subsystem.evaluate(&parsed), invalid);
     assert!(parsed.flows[0].messages.is_empty());
     assert!(!parsed.is_valid());
+
+    let mut reports = Vec::new();
+    for id in SubsystemId::ALL {
+        let subsystem = id.build();
+        let ctx = FlowContext {
+            flow: &parsed.flows[0],
+            workload: &parsed,
+            spec: &subsystem.rnic,
+            sender_host: &subsystem.host_a,
+            receiver_host: &subsystem.host_b,
+        };
+        reports.clear();
+        evaluate_rules(&ctx, &mut reports);
+        assert!(!reports.is_empty(), "{id}: no rule scored the flow");
+    }
 }
